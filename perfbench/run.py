@@ -5,10 +5,12 @@
 
 Run from the root of a source checkout; the program is taken from ``src/``.
 Each round runs every command of the workload once, in a fresh process, one
-at a time (a closed loop with one client), and rounds repeat until S seconds
-have passed.  Every output row is checked against ``reference``.
+at a time (a closed loop with one client), and rounds repeat up to the round
+boundary nearest to S seconds.  Every output row is checked against
+``reference``.
 
-``--trace 0`` prints the end-to-end metrics, measured without tracing.
+``--trace 0`` prints the end-to-end metrics, measured without tracing, with
+the timings scaled by the host's speed in the run (see ``PROBE_REF_S``).
 ``--trace 1`` runs the same commands in-process through ``bvgamma.cli.main``
 with spans around the library's public functions, and prints per-layer
 counts and self times.  The last line of standard output is one JSON object
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -34,6 +37,19 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 SETUP_SAMPLES = 3
+# The host's speed drifts by up to a half over minutes (see README), which
+# moves every timing of a run together.  So each run also times two probes
+# that run no code of the repository, a bare interpreter start-up and
+# `import numpy`, before each timed command (and then again until it has
+# PROBE_SAMPLES of each, as one probe varies by a third from one start-up to
+# the next), and scales its timings by PROBE_REF_S over the geometric mean of
+# the two probes' medians in the run.
+# PROBE_REF_S is that mean on the machine the README's figures come from, so
+# the scaled timings read as seconds on it at its median speed.
+PROBE_ARGVS = ((sys.executable, "-I", "-c", "pass"),
+               (sys.executable, "-I", "-c", "import numpy"))
+PROBE_SAMPLES = 16
+PROBE_REF_S = 0.14
 IMPORTTIME_SAMPLES = 3
 IMPORTTIME_MODULES = {"bvgamma.cli": "cli.import.s", "bvgamma.energy": "energy.import.s",
                       "bvgamma.minprob": "minprob.import.s", "bvgamma.laws": "laws.import.s"}
@@ -88,13 +104,26 @@ def spawn(argv, env, poll_threads=False) -> dict:
     return res
 
 
-def measure_setup(env) -> float:
+def probe(samples) -> None:
+    """Time each probe once, appending to its list in `samples`."""
+    for argv, times in zip(PROBE_ARGVS, samples):
+        times.append(spawn(argv, dict(os.environ))["wall"])
+
+
+def speed_scale(samples) -> float:
+    """PROBE_REF_S over the geometric mean of the probes' medians."""
+    return PROBE_REF_S / math.sqrt(math.prod(statistics.median(t) for t in samples))
+
+
+def measure_setup(env, probes) -> float:
     """Median time for a fresh interpreter to import the CLI and print --help.
 
     One untimed call first writes the bytecode caches, which users pay once.
     """
     times = []
     for i in range(SETUP_SAMPLES + 1):
+        if i:
+            probe(probes)
         res = spawn(cli_argv(["--help"]), env)
         if res["code"] != 0 or "Usage:" not in res["stdout"]:
             sys.exit(f"bvgamma --help failed:\n{res['stderr']}")
@@ -104,33 +133,47 @@ def measure_setup(env) -> float:
 
 
 def rounds_for(seconds):
-    """Yield round numbers until `seconds` have passed; always at least one."""
-    deadline = time.perf_counter() + seconds
+    """Yield round numbers up to the round boundary nearest to `seconds`,
+    taking the next round to be as long as the mean round so far; always at
+    least one.
+
+    A run thus measures whole rounds, and its measured time is off `seconds`
+    by at most half a round (or is one round longer than `seconds`).
+    """
+    start = time.perf_counter()
     n = 0
-    while n == 0 or time.perf_counter() < deadline:
+    while True:
         yield n
         n += 1
+        elapsed = time.perf_counter() - start
+        if elapsed + elapsed / n / 2 > seconds:
+            return
 
 
 def end_to_end(ops, seconds, env):
-    setup = measure_setup(env)
+    probes = tuple([] for _ in PROBE_ARGVS)
+    setup = measure_setup(env, probes)
     samples = [[] for _ in ops]
     outcomes = []
     for _ in rounds_for(seconds):
         for op, sample in zip(ops, samples):
+            probe(probes)
             res = spawn(cli_argv(["--json", *op.args]), env)
             sample.append(res)
             outcomes += workloads.evaluate(op, res["code"], res["stdout"])
+    while len(probes[0]) < PROBE_SAMPLES:
+        probe(probes)
 
     def per_op_median(key):
         return [statistics.median(r[key] for r in sample) for sample in samples]
 
-    metrics = {
-        "wall_s": (sum(per_op_median("wall")), "s"),
-        "cpu_s": (sum(per_op_median("cpu")), "s"),
-        "setup_s": (setup, "s"),
-        "peak_rss_mb": (max(per_op_median("rss_mb")), "MB"),
-    }
+    raw = {"wall_s": sum(per_op_median("wall")), "cpu_s": sum(per_op_median("cpu")),
+           "setup_s": setup}
+    scale = speed_scale(probes)
+    print(f"unscaled: {json.dumps(raw)}, probe medians (s): "
+          f"{[statistics.median(t) for t in probes]}, scale: {scale}", file=sys.stderr)
+    metrics = {name: (scale * value, "s") for name, value in raw.items()}
+    metrics["peak_rss_mb"] = (max(per_op_median("rss_mb")), "MB")
     return metrics, outcomes
 
 

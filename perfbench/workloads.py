@@ -213,7 +213,7 @@ def verify(seed: int, inputs: Path) -> list:
     nodes = zeta_nodes(seed)
     nodes_path = inputs / f"zeta-{seed}.json"
     nodes_path.write_text(json.dumps({"nodes": [[z, v] for z, v in nodes]}))
-    count = 1000
+    count = 200
     ops = [Op(f"verify {name}",
               ("verify", name, "--count", str(count), "--seed", str(seed)),
               _check_suite(name, count))
