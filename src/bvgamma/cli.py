@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -118,18 +116,6 @@ def _emit_rows(header, rows, as_json):
             click.echo(",".join(_fmt(x) for x in row))
 
 
-def _pool_map(fn, items):
-    """Map preserving input order; BVGAMMA_THREADS caps the fan-out."""
-    try:
-        workers = int(os.environ.get("BVGAMMA_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cfg(ctx, key, value, default=None):
     if value is not None:
         return value
@@ -226,11 +212,8 @@ def cmd_minprob(ctx, spec_text, n_text, starts, seed, dump_minimizer):
     starts = int(_cfg(ctx, "starts", starts, 64))
     seed = int(_cfg(ctx, "seed", seed, 0))
 
-    def run(n):
-        return minprob_mod.minimize(minprob_mod.MinProblem(n=n, law=law),
-                                    starts=starts, seed=seed)
-
-    results = _pool_map(run, ns)
+    results = [minprob_mod.minimize(minprob_mod.MinProblem(n=n, law=law),
+                                    starts=starts, seed=seed) for n in ns]
     rows = []
     for n, res in zip(ns, results):
         row = [n, res.value, res.value / n, res.winning_seed]
@@ -415,7 +398,7 @@ def _emit_reports(ctx, reports):
 def bounds_psi(ctx, m_text):
     """Bounds for the full-package laws over a range of depths."""
     ms = _parse_int_range(m_text)
-    reports = _pool_map(bounds_mod.psi_bound, ms)
+    reports = [bounds_mod.psi_bound(m) for m in ms]
     _emit_reports(ctx, reports)
 
 

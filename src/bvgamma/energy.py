@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .laws import (
     InteractionLaw,
@@ -52,28 +50,13 @@ class EnergyResult:
 
 @dataclass(frozen=True)
 class HostilityKernel:
-    """Nonincreasing pair-distance kernel.
+    """Pair-distance kernel delta/sigma^2.
 
-    The canonical instance is delta/sigma^2, which admits closed-form
-    integrals over pairs of intervals and is non-integrable at 0.  Other
-    kernels are given as callables and integrated numerically.
+    It admits closed-form integrals over pairs of intervals and is
+    non-integrable at 0.
     """
 
-    func: object = None           # callable sigma -> c(sigma), or None
-    inverse_square_delta: float = None  # set for the canonical delta/sigma^2
-
-    def __call__(self, sigma):
-        if self.inverse_square_delta is not None:
-            return self.inverse_square_delta / np.asarray(sigma) ** 2
-        return self.func(sigma)
-
-    @property
-    def singular_at_zero(self) -> bool:
-        return self.inverse_square_delta is not None
-
-    def check_nonincreasing(self, grid) -> bool:
-        vals = np.asarray(self(np.asarray(grid, dtype=float)))
-        return bool(np.all(np.diff(vals) <= 1e-12 * np.maximum(1.0, np.abs(vals[:-1]))))
+    inverse_square_delta: float
 
 
 def inverse_square_kernel(delta: float) -> HostilityKernel:
@@ -125,22 +108,9 @@ def hostility(kernel: HostilityKernel, u: StepFunction, k: int) -> EnergyResult:
             if abs(vals[i] - vals[j]) <= k:
                 continue
             if j == i + 1:
-                if kernel.singular_at_zero:
-                    return EnergyResult(math.inf, "exact")
-                val, _ = integrate.dblquad(
-                    lambda y, x: kernel(y - x), bp[i], bp[i + 1],
-                    lambda x: bp[j], lambda x: bp[j + 1])
-                total += 2.0 * val
-                continue
-            if kernel.singular_at_zero:
-                total += 2.0 * kernel.inverse_square_delta * _pair_log(bp, i, j)
-            else:
-                val, _ = integrate.dblquad(
-                    lambda y, x: kernel(y - x), bp[i], bp[i + 1],
-                    lambda x: bp[j], lambda x: bp[j + 1])
-                total += 2.0 * val
-    method = "exact" if kernel.singular_at_zero else "quadrature"
-    return EnergyResult(total, method)
+                return EnergyResult(math.inf, "exact")
+            total += 2.0 * kernel.inverse_square_delta * _pair_log(bp, i, j)
+    return EnergyResult(total, "exact")
 
 
 def _snap_to_integer(t: float) -> float:
@@ -213,18 +183,23 @@ def lambda_strip(law, u: StepFunction, delta: float, window=None) -> EnergyResul
 
 
 def _measure_above(w: np.ndarray, h: float, threshold: float) -> float:
-    """Measure of {|w| > threshold} for the piecewise-linear interpolant of w."""
-    def frac(g0, g1):
-        lo = np.minimum(g0, g1)
-        hi = np.maximum(g0, g1)
-        denom = hi - lo
-        flat = denom == 0
-        safe = np.where(flat, 1.0, denom)
-        f = np.clip((hi - threshold) / safe, 0.0, 1.0)
-        return np.where(flat, (g0 > threshold).astype(float), f)
+    """Measure of {|w| > threshold} for the piecewise-linear interpolant of w.
 
-    g0, g1 = w[:-1], w[1:]
-    return h * float(np.sum(frac(g0, g1) + frac(-g0, -g1)))
+    A segment with both ends above the threshold counts in full and one with
+    neither end above counts nothing, so only the segments whose ends fall on
+    either side of it need the interpolated fraction.
+    """
+    count = 0
+    frac = 0.0
+    for above, sign in ((w > threshold, 1.0), (w < -threshold, -1.0)):
+        cross = np.flatnonzero(above[:-1] != above[1:])
+        # segments hold 2 above ends when full and 1 when crossing
+        ends = 2 * np.count_nonzero(above) - int(above[0]) - int(above[-1])
+        count += (ends - len(cross)) // 2
+        g0, g1 = sign * w[cross], sign * w[cross + 1]
+        hi = np.maximum(g0, g1)
+        frac += float(np.sum((hi - threshold) / (hi - np.minimum(g0, g1))))
+    return h * (count + frac)
 
 
 def _inner_integral(law, w: np.ndarray, h: float, delta: float, items) -> float:
@@ -236,31 +211,64 @@ def _inner_integral(law, w: np.ndarray, h: float, delta: float, items) -> float:
     return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
 
 
-def _shift_indices(n: int, dense: int = 64, ratio: float = 1.02) -> np.ndarray:
-    js = list(range(1, min(dense, n) + 1))
+def _shift_indices(n: int) -> np.ndarray:
+    """Every shift up to 64, then a geometric grid of ratio 1.005 up to n."""
+    js = list(range(1, min(64, n) + 1))
     j = js[-1]
     while j < n:
-        j = max(j + 1, int(j * ratio))
+        j = max(j + 1, int(j * 1.005))
         js.append(min(j, n))
     return np.unique(np.asarray(js, dtype=int))
 
 
-def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float) -> float:
+def _halving_differences(s: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Trapezoid on all nodes minus trapezoid on every other node, per node pair.
+
+    Entry i covers the cells between nodes 2i and 2i+2; an odd last cell is
+    the same in both rules.
+    """
+    cells = 0.5 * np.diff(s) * (f[:-1] + f[1:])
+    m = len(cells) // 2 * 2
+    coarse = 0.5 * (s[2:m + 1:2] - s[0:m:2]) * (f[0:m:2] + f[2:m + 1:2])
+    return cells[0:m:2] + cells[1:m:2] - coarse
+
+
+def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
+                         tol: float) -> tuple:
+    """Energy on one sampling grid, and the error estimate of its shift quadrature.
+
+    The outer integral runs over a geometric grid of integer shifts, and its
+    error is estimated by the trapezoid on every other node.  While that
+    estimate exceeds a quarter of ``tol`` (relative), the node pairs carrying
+    more than their share of it are bisected, down to single shifts.  The
+    global ratio stays fixed: a jump of the integrand needs fine cells at one
+    place only.
+    """
     try:
         items = _weight_items(law)
     except TypeError:
         items = None
-    n = len(samples) - 1
-    # ratio 1.005 keeps the outer trapezoid error near 1e-6 relative, well
-    # below any tolerance the inner-grid doubling is asked to certify
-    js = _shift_indices(n, ratio=1.005)
-    svals = js * h
-    fvals = np.empty(len(js))
-    for idx, j in enumerate(js):
-        w = samples[j:] - samples[:-j]
-        fvals[idx] = _inner_integral(law, w, h, delta, items) * delta / svals[idx] ** 2
+
+    def integrand(js):
+        return np.array([_inner_integral(law, samples[j:] - samples[:-j], h, delta, items)
+                         * delta / (j * h) ** 2 for j in js])
+
     # the integrand vanishes (or is negligibly small) below the first shift
-    return 2.0 * float(np.trapezoid(fvals, svals))
+    js = _shift_indices(len(samples) - 1)
+    fvals = integrand(js)
+    while True:
+        val = 2.0 * float(np.trapezoid(fvals, js * h))
+        diffs = 2.0 * _halving_differences(js * h, fvals)
+        err = abs(float(np.sum(diffs)))
+        target = 0.25 * tol * max(1.0, abs(val))
+        pairs = 2 * np.flatnonzero(np.abs(diffs) > target / len(diffs))
+        mids = np.concatenate([js[pairs] + js[pairs + 1], js[pairs + 1] + js[pairs + 2]]) // 2
+        new = np.setdiff1d(mids, js)
+        if err <= target or len(new) == 0:
+            return val, err
+        order = np.argsort(np.concatenate([js, new]))
+        js = np.concatenate([js, new])[order]
+        fvals = np.concatenate([fvals, integrand(new)])[order]
 
 
 def lambda_quad(law: InteractionLaw, u, interval, delta: float,
@@ -268,8 +276,12 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     """Double-integral energy of a smooth function by grid quadrature.
 
     ``u`` must be callable on numpy arrays and Lipschitz on the interval.  The
-    grid is refined until two successive resolutions agree within ``tol``
-    (relative); refinement past ``max_grid`` points raises RuntimeError.
+    error estimate adds two parts: the inner-grid doubling (the change from
+    the previous grid, which has half as many points) and the outer shift
+    quadrature on the current grid (trapezoid on all shift nodes against
+    trapezoid on every other node).  The grid is refined until that sum is
+    within ``tol`` (relative); refinement past ``max_grid`` points raises
+    RuntimeError.
     """
     a, b = interval
     if not a < b:
@@ -286,9 +298,9 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     prev = None
     while True:
         samples = np.asarray(u(np.linspace(a, b, n + 1)), dtype=float)
-        val = _lambda_quad_on_grid(law, samples, (b - a) / n, delta)
+        val, outer = _lambda_quad_on_grid(law, samples, (b - a) / n, delta, tol)
         if prev is not None:
-            err = abs(val - prev)
+            err = abs(val - prev) + outer
             if err <= tol * max(1.0, abs(val)):
                 return EnergyResult(val, "quadrature", error_estimate=err)
         if n >= max_grid:
@@ -300,7 +312,7 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
 
 def _sphere_area(d: int) -> float:
     """Surface measure of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
+    return 2.0 * math.pi ** (d / 2.0) / math.exp(math.lgamma(d / 2.0))
 
 
 def geometric_constant(d: int, samples: int = 200_000, seed: int = 0) -> EnergyResult:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .laws import (
     ModelLaw,
@@ -208,6 +207,9 @@ def _normalize(lengths: np.ndarray) -> np.ndarray:
 
 def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
     """Smooth descent in log coordinates, restricted to the support of start."""
+    # imported here so that commands which never polish skip loading scipy
+    from scipy.optimize import minimize as scipy_minimize
+
     support = np.flatnonzero(start > 0)
     base = np.array(start, dtype=float)
 
@@ -225,7 +227,7 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
         return problem.gradient(full)[support] * full[support]
 
     s0 = np.log(base[support])
-    res = _scipy_minimize(
+    res = scipy_minimize(
         fun, s0, jac=jac, method="L-BFGS-B",
         callback=lambda s: trace.append(fun(s)),
         options={"maxiter": 1000, "gtol": 1e-13, "ftol": 1e-16},

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bvgamma
 from bvgamma.cli import main, parse_law_spec
 from bvgamma.laws import (
     AffineThetaLaw,
@@ -18,6 +23,16 @@ from bvgamma.laws import (
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded by the commands that need it, not at start-up
+    src = str(Path(bvgamma.__file__).resolve().parents[1])
+    code = ("import sys; import bvgamma.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestLawSpec:

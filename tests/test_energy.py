@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from bvgamma.energy import (
+    _measure_above,
     geometric_constant,
     hostility,
     inverse_square_kernel,
@@ -166,6 +167,64 @@ class TestLambdaQuad:
         vals = [lambda_quad(ModelLaw(1), lambda x: np.asarray(x, dtype=float),
                             (0.0, 1.0), d).value for d in (0.2, 0.1, 0.05)]
         assert vals[0] < vals[1] < vals[2] < 2.0
+
+
+def _measure_above_full_array(w, h, threshold):
+    """Fractional formula applied to every segment: the oracle for _measure_above."""
+    def frac(g0, g1):
+        lo = np.minimum(g0, g1)
+        hi = np.maximum(g0, g1)
+        denom = hi - lo
+        flat = denom == 0
+        safe = np.where(flat, 1.0, denom)
+        f = np.clip((hi - threshold) / safe, 0.0, 1.0)
+        return np.where(flat, (g0 > threshold).astype(float), f)
+
+    g0, g1 = w[:-1], w[1:]
+    return h * float(np.sum(frac(g0, g1) + frac(-g0, -g1)))
+
+
+class TestMeasureAbove:
+    @pytest.mark.parametrize("kind", ["random", "plateau", "exact-threshold"])
+    def test_matches_full_array_formula(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 3000))
+            if kind == "random":
+                t = abs(float(rng.normal()))
+                w = rng.normal(size=n)
+            elif kind == "plateau":
+                # runs of equal values give segments with g0 == g1
+                t = float(rng.integers(0, 4)) / 3.0
+                w = np.repeat(np.round(rng.normal(size=n) * 3.0) / 3.0,
+                              rng.integers(1, 4, size=n))
+            else:
+                # samples equal to +-threshold give segments with lo == threshold
+                t = 0.1 * float(rng.integers(1, 5))
+                w = rng.choice([2.0 * t, t, 0.5 * t, 0.0, -t, -2.0 * t], size=n)
+            want = _measure_above_full_array(w, 1e-3, t)
+            got = _measure_above(w, 1e-3, t)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_whole_segments(self):
+        w = np.array([0.0, 2.0, 2.0, 0.0, -2.0, -2.0])
+        # above 1 on [0.5, 2.5] and below -1 on [3.5, 5]
+        assert _measure_above(w, 1.0, 1.0) == 3.5
+
+
+class TestLambdaQuadLinear:
+    """u(x) = x on (0, 1) with the step law of threshold k: energy
+    2 (1/k - delta + delta log(k delta)), with a jump of the inner integral
+    at the shift k delta."""
+
+    @pytest.mark.parametrize("k, delta", [(1, 0.1), (1, 0.05), (1, 0.01), (3, 0.1)])
+    def test_error_estimate_covers_error(self, k, delta):
+        tol = 1e-3
+        res = lambda_quad(ModelLaw(k), lambda x: np.asarray(x, dtype=float),
+                          (0.0, 1.0), delta, tol=tol)
+        exact = 2.0 * (1.0 / k - delta + delta * math.log(k * delta))
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.error_estimate <= tol * max(1.0, abs(res.value))
 
 
 class TestGeometricConstant:
