@@ -15,10 +15,8 @@ from .laws import (
     ScaledLaw,
     TabulatedLaw,
     check_admissible,
-    expand_packaged,
     law_from_json,
     law_to_json,
-    min_support_index,
     phi_eps,
     rescale,
 )

@@ -18,9 +18,7 @@ import numpy as np
 from .laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
-    ModelLaw,
     PackagedDyadicLaw,
-    PiecewiseConstantLaw,
     phi_eps,
 )
 from .minprob import MinProblem, minimize
@@ -79,24 +77,16 @@ def harmonic_number(n: int, exact: bool = False):
 
 def _package_weights(law) -> list | None:
     """Dyadic package weights if the law has package structure, else None."""
-    if isinstance(law, PackagedDyadicLaw):
-        return [float(a) for a in law.packages]
-    if isinstance(law, ModelLaw):
-        weights = [0.0] * (law.k - 1) + [1.0]
-    elif isinstance(law, PiecewiseConstantLaw):
-        weights = [float(w) for w in law.weights]
-    else:
+    steps = getattr(law, "steps", None)
+    if steps is None:
         return None
-    m = 1
-    while 2 ** m - 1 < len(weights):
-        m += 1
-    padded = weights + [0.0] * (2 ** m - 1 - len(weights))
+    weights = dict(steps)
     packages = []
-    for j in range(1, m + 1):
-        block = padded[2 ** (j - 1) - 1: 2 ** j - 1]
-        if any(x != block[0] for x in block):
+    for j in range(1, steps[-1][0].bit_length() + 1):
+        block = {weights.get(k, 0) for k in range(2 ** (j - 1), 2 ** j)}
+        if len(block) > 1:
             return None
-        packages.append(block[0])
+        packages.append(float(block.pop()))
     return packages
 
 

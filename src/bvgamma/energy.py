@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import (
-    InteractionLaw,
-    ModelLaw,
-    PackagedDyadicLaw,
-    PiecewiseConstantLaw,
-)
+from .laws import InteractionLaw
 from .stepfn import StepFunction, transition_abscissae
 
 __all__ = [
@@ -80,12 +75,26 @@ def rect_interaction(left, right, delta: float) -> EnergyResult:
     return EnergyResult(value, "exact")
 
 
-def _pair_log(bp, i, j):
-    """log of the pair-integral ratio for pieces i < j of a step function."""
-    return math.log(
-        (bp[j] - bp[i]) * (bp[j + 1] - bp[i + 1])
-        / ((bp[j] - bp[i + 1]) * (bp[j + 1] - bp[i]))
-    )
+def _pair_energy(breakpoints, values, weight, delta) -> float:
+    """Sum over piece pairs i < j of 2 * delta * weight * log of the pair-integral ratio.
+
+    ``weight`` maps the value differences |v_j - v_i| of one row i to pair
+    weights.  The sum is +inf when an adjacent pair has positive weight (the
+    diagonal contact is then non-integrable).  Rows are taken one at a time,
+    so memory stays linear in the number of pieces.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    total = 0.0
+    for i in range(len(vs) - 1):
+        w = weight(np.abs(vs[i + 1:] - vs[i]))
+        if w[0] > 0:
+            return math.inf
+        # pieces j >= i + 2: (x_j, x_{j+1}) against (x_i, x_{i+1})
+        near, far = bp[i + 2:-1], bp[i + 3:]
+        ratio = ((near - bp[i]) * (far - bp[i + 1])) / ((near - bp[i + 1]) * (far - bp[i]))
+        total += float(np.sum(w[1:] * np.log(ratio)))
+    return 2.0 * delta * total
 
 
 def hostility(kernel: HostilityKernel, u: StepFunction, k: int) -> EnergyResult:
@@ -95,30 +104,19 @@ def hostility(kernel: HostilityKernel, u: StepFunction, k: int) -> EnergyResult:
     """
     if k < 1:
         raise ValueError("threshold k must be a positive integer")
-    vals = []
-    for v in u.values:
-        r = round(v)
-        if abs(v - r) > 1e-9 * max(1.0, abs(v)):
-            raise ValueError("hostility needs an integer-valued arrangement")
-        vals.append(int(r))
-    bp = u.breakpoints
-    total = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= k:
-                continue
-            if j == i + 1:
-                return EnergyResult(math.inf, "exact")
-            total += 2.0 * kernel.inverse_square_delta * _pair_log(bp, i, j)
-    return EnergyResult(total, "exact")
+    vals = np.asarray(u.values)
+    levels = np.round(vals)
+    if np.any(np.abs(vals - levels) > 1e-9 * np.maximum(1.0, np.abs(vals))):
+        raise ValueError("hostility needs an integer-valued arrangement")
+    value = _pair_energy(u.breakpoints, levels, lambda d: d > k,
+                         kernel.inverse_square_delta)
+    return EnergyResult(value, "exact")
 
 
-def _snap_to_integer(t: float) -> float:
+def _snap_to_integer(t: np.ndarray) -> np.ndarray:
     """Snap near-integer jump ratios so lattice staircases hit thresholds exactly."""
-    r = round(t)
-    if abs(t - r) <= 1e-9 * max(1.0, abs(t)):
-        return float(r)
-    return t
+    r = np.round(t)
+    return np.where(np.abs(t - r) <= 1e-9 * np.maximum(1.0, np.abs(t)), r, t)
 
 
 def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyResult:
@@ -129,30 +127,9 @@ def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyRes
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    bp = u.breakpoints
-    vs = u.values
-    total = 0.0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            t = _snap_to_integer(abs(vs[j] - vs[i]) / delta)
-            w = float(law(t))
-            if w == 0.0:
-                continue
-            if j == i + 1:
-                return EnergyResult(math.inf, "exact")
-            total += 2.0 * w * delta * _pair_log(bp, i, j)
-    return EnergyResult(total, "exact")
-
-
-def _weight_items(law) -> list:
-    """(threshold, weight) pairs of a piecewise-constant law."""
-    if isinstance(law, ModelLaw):
-        return [(law.k, 1.0)]
-    if isinstance(law, PackagedDyadicLaw):
-        law = law.expand()
-    if isinstance(law, PiecewiseConstantLaw):
-        return [(k, float(w)) for k, w in enumerate(law.weights, start=1) if w > 0]
-    raise TypeError("expected a piecewise-constant interaction law")
+    value = _pair_energy(u.breakpoints, u.values,
+                         lambda d: law(_snap_to_integer(d / delta)), delta)
+    return EnergyResult(value, "exact")
 
 
 def lambda_strip(law, u: StepFunction, delta: float, window=None) -> EnergyResult:
@@ -167,9 +144,12 @@ def lambda_strip(law, u: StepFunction, delta: float, window=None) -> EnergyResul
     if window is not None:
         lo, hi = window
         xs = tuple(x for x in xs if lo <= x <= hi)
+    steps = getattr(law, "steps", None)
+    if steps is None:
+        raise TypeError("expected a piecewise-constant interaction law")
     n = len(xs) - 1  # number of inter-transition lengths
     total = 0.0
-    for k, w in _weight_items(law):
+    for k, w in steps:
         if n < k + 1:
             continue
         for i in range(1, n - k + 1):
@@ -244,10 +224,7 @@ def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
     global ratio stays fixed: a jump of the integrand needs fine cells at one
     place only.
     """
-    try:
-        items = _weight_items(law)
-    except TypeError:
-        items = None
+    items = getattr(law, "steps", None)
 
     def integrand(js):
         return np.array([_inner_integral(law, samples[j:] - samples[:-j], h, delta, items)

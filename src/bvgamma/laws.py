@@ -37,8 +37,6 @@ __all__ = [
     "AdmissibilityReport",
     "check_admissible",
     "rescale",
-    "min_support_index",
-    "expand_packaged",
     "phi_eps",
     "law_to_json",
     "law_from_json",
@@ -77,8 +75,46 @@ class InteractionLaw:
         raise NotImplementedError
 
 
+class _StepWeightLaw(InteractionLaw):
+    """Nonnegative combination of step laws, read through ``steps``.
+
+    ``steps`` holds the (threshold, weight) pairs with positive weight in
+    threshold order, with the weights as given so that exact weights give an
+    exact scale factor.  The law at t is the sum of the weights whose
+    threshold lies below t, read from a float table built once.
+    """
+
+    def _set_steps(self, steps):
+        steps = tuple(steps)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_thresholds", np.array([k for k, _ in steps], dtype=float))
+        object.__setattr__(self, "_levels", np.concatenate(
+            [[0.0], np.cumsum(np.asarray([w for _, w in steps], dtype=float))]))
+
+    def _evaluate(self, t):
+        return self._levels[np.searchsorted(self._thresholds, np.asarray(t, dtype=float))][()]
+
+    def scale_factor(self) -> float:
+        exact = self.scale_factor_exact()
+        if exact is not None:
+            return float(exact)
+        return math.fsum(w / k for k, w in self.steps)
+
+    def scale_factor_exact(self):
+        total = Fraction(0)
+        for k, w in self.steps:
+            fw = _as_fraction(w)
+            if fw is None:
+                return None
+            total += fw / k
+        return total
+
+    def upper_bound(self) -> float:
+        return float(math.fsum(w for _, w in self.steps))
+
+
 @dataclass(frozen=True)
-class ModelLaw(InteractionLaw):
+class ModelLaw(_StepWeightLaw):
     """Step law: 0 on [0, k], 1 on (k, +inf)."""
 
     k: int = 1
@@ -86,22 +122,14 @@ class ModelLaw(InteractionLaw):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"step threshold must be a positive integer, got {self.k}")
+        self._set_steps([(self.k, 1)])
 
     def __call__(self, t):
-        return np.where(np.asarray(t, dtype=float) > self.k, 1.0, 0.0)[()]
-
-    def scale_factor(self) -> float:
-        return 1.0 / self.k
-
-    def scale_factor_exact(self):
-        return Fraction(1, self.k)
-
-    def upper_bound(self) -> float:
-        return 1.0
+        return self._evaluate(t)
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantLaw(InteractionLaw):
+class PiecewiseConstantLaw(_StepWeightLaw):
     """Nonnegative combination of step laws with thresholds 1..m."""
 
     weights: tuple
@@ -115,52 +143,14 @@ class PiecewiseConstantLaw(InteractionLaw):
             raise ValueError("weights must be nonnegative")
         if all(x == 0 for x in w):
             raise ValueError("at least one weight must be positive")
-
-    @property
-    def _prefix(self):
-        # prefix[j] = sum of the first j weights; law value for t in (j, j+1]
-        p = np.concatenate([[0.0], np.cumsum(np.asarray(self.weights, dtype=float))])
-        return p
+        self._set_steps((k, x) for k, x in enumerate(w, start=1) if x > 0)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        # number of thresholds strictly below t
-        j = np.clip(np.ceil(t) - 1, 0, len(self.weights)).astype(int)
-        return self._prefix[j][()]
-
-    def scale_factor(self) -> float:
-        exact = self.scale_factor_exact()
-        if exact is not None:
-            return float(exact)
-        return math.fsum(w / (k + 1) for k, w in enumerate(self.weights))
-
-    def scale_factor_exact(self):
-        total = Fraction(0)
-        for k, w in enumerate(self.weights, start=1):
-            fw = _as_fraction(w)
-            if fw is None:
-                return None
-            total += fw / k
-        return total
-
-    def upper_bound(self) -> float:
-        return float(math.fsum(self.weights))
-
-    def min_support_index(self) -> int:
-        for k, w in enumerate(self.weights, start=1):
-            if w > 0:
-                return k
-        raise ValueError("all weights are zero")
-
-    def max_support_index(self) -> int:
-        for k in range(len(self.weights), 0, -1):
-            if self.weights[k - 1] > 0:
-                return k
-        raise ValueError("all weights are zero")
+        return self._evaluate(t)
 
 
 @dataclass(frozen=True)
-class PackagedDyadicLaw(InteractionLaw):
+class PackagedDyadicLaw(_StepWeightLaw):
     """Combination of step laws whose coefficients are equal in dyadic packages.
 
     Package j (weight packages[j-1]) covers thresholds 2^(j-1) .. 2^j - 1.
@@ -177,6 +167,7 @@ class PackagedDyadicLaw(InteractionLaw):
             raise ValueError("package weights must be nonnegative")
         if all(x == 0 for x in a):
             raise ValueError("at least one package weight must be positive")
+        self._set_steps(self.expand().steps)
 
     def expand(self) -> PiecewiseConstantLaw:
         weights = []
@@ -185,16 +176,7 @@ class PackagedDyadicLaw(InteractionLaw):
         return PiecewiseConstantLaw(tuple(weights))
 
     def __call__(self, t):
-        return self.expand()(t)
-
-    def scale_factor(self) -> float:
-        return self.expand().scale_factor()
-
-    def scale_factor_exact(self):
-        return self.expand().scale_factor_exact()
-
-    def upper_bound(self) -> float:
-        return self.expand().upper_bound()
+        return self._evaluate(t)
 
 
 @dataclass(frozen=True)
@@ -242,9 +224,6 @@ class DyadicAffineLaw(InteractionLaw):
             raise ValueError("node values must be nondecreasing")
         if vals[-1] == 0:
             raise ValueError("law would be identically zero")
-        # zero-left fill requires continuity with the provided head value
-        if vals[0] < 0:
-            raise ValueError("negative head value")
 
     def _seq(self, z):
         """Sequence value at integer index z (zero left, gaps held, constant right)."""
@@ -408,20 +387,6 @@ class TabulatedLaw(InteractionLaw):
 def rescale(law: InteractionLaw, alpha: float, beta: float) -> ScaledLaw:
     """Law t -> alpha * law(beta * t)."""
     return ScaledLaw(inner=law, alpha=alpha, beta=beta)
-
-
-def min_support_index(law) -> int:
-    """Smallest step threshold carrying a positive weight."""
-    if isinstance(law, PackagedDyadicLaw):
-        law = law.expand()
-    if not isinstance(law, PiecewiseConstantLaw):
-        raise TypeError("min_support_index applies to piecewise-constant laws")
-    return law.min_support_index()
-
-
-def expand_packaged(law: PackagedDyadicLaw) -> PiecewiseConstantLaw:
-    """Expand dyadic package weights into per-threshold weights."""
-    return law.expand()
 
 
 def phi_eps(eps: float, panels: int = 4096) -> TabulatedLaw:

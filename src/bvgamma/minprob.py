@@ -12,12 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import (
-    ModelLaw,
-    PackagedDyadicLaw,
-    PiecewiseConstantLaw,
-)
-
 __all__ = [
     "window_sums",
     "in_domain",
@@ -105,18 +99,6 @@ def telescopic_margin(lengths, a: int, b: int) -> float:
     return math.fsum(lhs_terms) - math.fsum(rhs_terms)
 
 
-def _law_weights(law) -> list:
-    if isinstance(law, ModelLaw):
-        weights = [0.0] * (law.k - 1) + [1.0]
-    elif isinstance(law, PackagedDyadicLaw):
-        weights = [float(w) for w in law.expand().weights]
-    elif isinstance(law, PiecewiseConstantLaw):
-        weights = [float(w) for w in law.weights]
-    else:
-        raise TypeError("minimum problems need a piecewise-constant law")
-    return weights
-
-
 @dataclass(frozen=True)
 class MinProblem:
     """Objective sum_k lambda_k * log_cost(lengths, k) over n lengths."""
@@ -125,24 +107,19 @@ class MinProblem:
     law: object
 
     def __post_init__(self):
-        weights = _law_weights(self.law)
-        m = max(k for k, w in enumerate(weights, start=1) if w > 0)
-        if self.n < m + 1:
-            raise ValueError(f"need n >= {m + 1} for this law")
-        object.__setattr__(self, "_weights", weights)
-
-    @property
-    def weights(self):
-        return list(self._weights)
+        if getattr(self.law, "steps", None) is None:
+            raise TypeError("minimum problems need a piecewise-constant law")
+        if self.n < self.max_index + 1:
+            raise ValueError(f"need n >= {self.max_index + 1} for this law")
 
     @property
     def min_index(self) -> int:
         """Smallest threshold with positive weight (domain parameter)."""
-        return next(k for k, w in enumerate(self._weights, start=1) if w > 0)
+        return self.law.steps[0][0]
 
     @property
     def max_index(self) -> int:
-        return max(k for k, w in enumerate(self._weights, start=1) if w > 0)
+        return self.law.steps[-1][0]
 
     def objective(self, lengths) -> float:
         lengths = np.asarray(lengths, dtype=float)
@@ -150,17 +127,14 @@ class MinProblem:
             raise ValueError(f"expected {self.n} lengths")
         if not in_domain(lengths, self.min_index):
             raise ValueError(f"tuple outside the domain (zero run of {self.min_index})")
-        return math.fsum(
-            w * log_cost(lengths, k)
-            for k, w in enumerate(self._weights, start=1) if w > 0)
+        return math.fsum(w * log_cost(lengths, k) for k, w in self.law.steps)
 
     def gradient(self, lengths) -> np.ndarray:
         """Analytic gradient with respect to the lengths."""
         lengths = np.asarray(lengths, dtype=float)
         grad = np.zeros(self.n)
-        for k, w in enumerate(self._weights, start=1):
-            if w == 0:
-                continue
+        for k, w in self.law.steps:
+            w = float(w)
             s_k = window_sums(lengths, k)
             s_k1 = window_sums(lengths, k + 1)
             # range-add via difference arrays: each window sum S_{i,l}

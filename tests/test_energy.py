@@ -117,6 +117,79 @@ class TestLambdaStep:
                 assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
 
 
+def _lambda_step_double_loop(law, u, delta):
+    """One law call per pair of pieces: the oracle for lambda_step."""
+    def snap(t):
+        r = round(t)
+        return float(r) if abs(t - r) <= 1e-9 * max(1.0, abs(t)) else t
+
+    bp, vs = u.breakpoints, u.values
+    total = 0.0
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            w = float(law(snap(abs(vs[j] - vs[i]) / delta)))
+            if w == 0.0:
+                continue
+            if j == i + 1:
+                return math.inf
+            total += 2.0 * w * delta * math.log(
+                (bp[j] - bp[i]) * (bp[j + 1] - bp[i + 1])
+                / ((bp[j] - bp[i + 1]) * (bp[j + 1] - bp[i])))
+    return total
+
+
+def _lattice_staircase(rng, pieces):
+    """Monotone staircase on the lattice 1/20 with rises of 1..4 units."""
+    bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, pieces))])
+    levels = np.concatenate([[0], np.cumsum(rng.integers(1, 5, pieces - 1))])
+    return StepFunction(tuple(bp), tuple(levels / 20.0))
+
+
+class TestPairKernel:
+    LAWS = [ModelLaw(3), PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)),
+            PackagedDyadicLaw((1, 1, 1))]
+
+    @staticmethod
+    def _agree(got, want):
+        if math.isinf(want) or math.isinf(got):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.25, 0.2])
+    @pytest.mark.parametrize("law", LAWS, ids=["phi:3", "pca", "psi:3"])
+    def test_matches_double_loop_on_random_steps(self, law, delta):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(1, 25))
+            bp = np.sort(rng.uniform(0, 10, n + 1))
+            if np.min(np.diff(bp)) < 1e-6:
+                continue
+            if trial % 3 == 0:
+                vs = 0.05 * np.cumsum(rng.integers(-4, 5, n))  # lattice walk
+            elif trial % 3 == 1:
+                vs = np.cumsum(rng.uniform(-0.2, 0.2, n))
+            else:
+                vs = rng.uniform(0.0, 2.0, n)
+            u = StepFunction(tuple(bp), tuple(vs))
+            self._agree(lambda_step(law, u, delta).value,
+                        _lambda_step_double_loop(law, u, delta))
+
+    @pytest.mark.parametrize("delta", [0.5, 0.25, 0.2])
+    @pytest.mark.parametrize("law", LAWS, ids=["phi:3", "pca", "psi:3"])
+    def test_matches_double_loop_on_lattice_staircase(self, law, delta):
+        u = _lattice_staircase(np.random.default_rng(22), 300)
+        want = _lambda_step_double_loop(law, u, delta)
+        assert math.isfinite(want)
+        self._agree(lambda_step(law, u, delta).value, want)
+
+    def test_snaps_near_integer_ratios(self):
+        # 0.3 / 0.1 evaluates to 3.0000000000000004, which phi:3 counts
+        # unless the ratio is snapped to the threshold
+        u = StepFunction((0, 1, 2, 3), (0.8, 0.9, 1.1))
+        assert lambda_step(ModelLaw(3), u, 0.1).value == 0.0
+
+
 class TestLambdaStrip:
     def test_unit_gap_staircase(self):
         delta = 0.5

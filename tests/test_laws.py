@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from bvgamma.energy import lambda_strip
 from bvgamma.laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
@@ -16,13 +17,13 @@ from bvgamma.laws import (
     ScaledLaw,
     TabulatedLaw,
     check_admissible,
-    expand_packaged,
     law_from_json,
     law_to_json,
-    min_support_index,
     phi_eps,
     rescale,
 )
+from bvgamma.minprob import MinProblem
+from bvgamma.stepfn import StepFunction
 
 
 def quad_scale_factor(law, nodes=()):
@@ -145,15 +146,32 @@ class TestRescale:
 
 class TestStructure:
     def test_min_support_index(self):
-        assert min_support_index(PiecewiseConstantLaw((1, 0, 2))) == 1
-        assert min_support_index(PiecewiseConstantLaw((0, 0, 0, 5))) == 4
-        assert min_support_index(PackagedDyadicLaw((0, 1))) == 2
+        assert PiecewiseConstantLaw((1, 0, 2)).steps[0][0] == 1
+        assert PiecewiseConstantLaw((0, 0, 0, 5)).steps[0][0] == 4
+        assert PackagedDyadicLaw((0, 1)).steps[0][0] == 2
 
     def test_expand_packaged(self):
-        assert expand_packaged(PackagedDyadicLaw((1,))).weights == (1.0,)
-        assert expand_packaged(PackagedDyadicLaw((1, 1))).weights == (1.0, 1.0, 1.0)
-        assert expand_packaged(PackagedDyadicLaw((0, 0, 1))).weights == (
+        assert PackagedDyadicLaw((1,)).expand().weights == (1.0,)
+        assert PackagedDyadicLaw((1, 1)).expand().weights == (1.0, 1.0, 1.0)
+        assert PackagedDyadicLaw((0, 0, 1)).expand().weights == (
             0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+
+    def test_steps(self):
+        assert ModelLaw(3).steps == ((3, 1),)
+        assert PiecewiseConstantLaw((1, 0, 2)).steps == ((1, 1), (3, 2))
+        assert PackagedDyadicLaw((0, 1)).steps == ((2, 1), (3, 1))
+
+    def test_fraction_weight_keeps_scale_factor_exact(self):
+        law = PiecewiseConstantLaw((Fraction(1, 3), 0, Fraction(2, 7)))
+        assert law.steps == ((1, Fraction(1, 3)), (3, Fraction(2, 7)))
+        assert law.scale_factor_exact() == Fraction(1, 3) + Fraction(2, 21)
+
+    def test_non_step_law_has_no_steps(self):
+        u = StepFunction((0.0, 1.0, 2.0), (0.0, 1.0))
+        with pytest.raises(TypeError):
+            MinProblem(n=4, law=AffineThetaLaw())
+        with pytest.raises(TypeError):
+            lambda_strip(AffineThetaLaw(), u, 1.0)
 
     def test_packaged_evaluates_like_expansion(self):
         law = PackagedDyadicLaw((2, 0, 1))
