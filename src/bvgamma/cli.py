@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -34,6 +35,9 @@ from .stepfn import (
     staircase_from_gaps,
     truncate,
 )
+
+# scipy loads its own OpenBLAS on first use; keep its idle threads from spinning
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __all__ = ["main", "parse_law_spec"]
 

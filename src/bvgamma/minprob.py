@@ -36,13 +36,30 @@ def window_sums(lengths, k: int) -> np.ndarray:
 
 
 def in_domain(lengths, k: int) -> bool:
-    """True iff no k consecutive entries are all zero."""
-    lengths = np.asarray(lengths, dtype=float)
-    if np.any(lengths < 0):
-        return False
-    if k >= len(lengths):
-        return bool(np.any(lengths > 0))
-    return bool(np.all(window_sums(lengths, k) > 0))
+    """True iff no entry is negative and no k consecutive entries are all zero.
+
+    For k < len(lengths) a NaN entry also fails, as every window through it
+    sums to NaN; for k >= len(lengths) one positive entry suffices.
+    """
+    values = np.asarray(lengths, dtype=float).tolist()
+    run = 0
+    blocked = positive = False
+    for x in values:
+        if x > 0:
+            run = 0
+            positive = True
+        elif x == 0:
+            run += 1
+            blocked = blocked or run >= k
+        elif x < 0:
+            return False
+        else:
+            blocked = True
+    if k >= len(values):
+        return positive
+    if k < 1:
+        raise ValueError(f"window size {k} out of range for {len(values)} entries")
+    return not blocked
 
 
 def _log_cost_terms(lengths, k: int) -> np.ndarray:
@@ -51,8 +68,10 @@ def _log_cost_terms(lengths, k: int) -> np.ndarray:
         raise ValueError(f"need at least {k + 1} entries")
     if not in_domain(lengths, k):
         raise ValueError(f"tuple has {k} consecutive zeros")
-    s_k = window_sums(lengths, k)
-    s_k1 = window_sums(lengths, k + 1)
+    return _log_terms(window_sums(lengths, k), window_sums(lengths, k + 1))
+
+
+def _log_terms(s_k, s_k1) -> np.ndarray:
     # log-difference form: safe for window sums spanning many magnitudes
     return 2.0 * np.log(s_k1) - np.log(s_k[:-1]) - np.log(s_k[1:])
 
@@ -87,11 +106,11 @@ def telescopic_margin(lengths, a: int, b: int) -> float:
         raise ValueError("need 1 <= a <= b <= n-1")
     if not in_domain(lengths, a):
         raise ValueError(f"tuple has {a} consecutive zeros")
+    sums = {j: window_sums(lengths, j) for j in range(a, b + 2)}
     lhs_terms = []
     for j in range(a, b + 1):
-        lhs_terms.extend(_log_cost_terms(lengths, j))
-    s_a = window_sums(lengths, a)
-    s_b1 = window_sums(lengths, b + 1)
+        lhs_terms.extend(_log_terms(sums[j], sums[j + 1]))
+    s_a, s_b1 = sums[a], sums[b + 1]
     # same operations as the cost terms, so the b == a case cancels exactly
     shift = (b - a) + 1
     rhs_terms = (2.0 * np.log(s_b1) - np.log(s_a[: n - b])
@@ -122,36 +141,44 @@ class MinProblem:
         return self.law.steps[-1][0]
 
     def objective(self, lengths) -> float:
-        lengths = np.asarray(lengths, dtype=float)
-        if len(lengths) != self.n:
-            raise ValueError(f"expected {self.n} lengths")
-        if not in_domain(lengths, self.min_index):
-            raise ValueError(f"tuple outside the domain (zero run of {self.min_index})")
-        return math.fsum(w * log_cost(lengths, k) for k, w in self.law.steps)
+        return self.value_and_grad(lengths)[0]
 
     def gradient(self, lengths) -> np.ndarray:
         """Analytic gradient with respect to the lengths."""
+        return self.value_and_grad(lengths)[1]
+
+    def value_and_grad(self, lengths) -> tuple:
+        """Objective value and its analytic gradient, from one set of window sums."""
         lengths = np.asarray(lengths, dtype=float)
-        grad = np.zeros(self.n)
+        n, mu = self.n, self.min_index
+        if len(lengths) != n:
+            raise ValueError(f"expected {n} lengths")
+        sums = {j: window_sums(lengths, j) for k, _ in self.law.steps for j in (k, k + 1)}
+        # in_domain(lengths, mu), read from the windows of size mu
+        if np.any(lengths < 0) or not np.all(sums[mu] > 0):
+            raise ValueError(f"tuple outside the domain (zero run of {mu})")
+        costs = []
+        grad = np.zeros(n)
         for k, w in self.law.steps:
             w = float(w)
-            s_k = window_sums(lengths, k)
-            s_k1 = window_sums(lengths, k + 1)
+            s_k, s_k1 = sums[k], sums[k + 1]
+            costs.append(w * math.fsum(_log_terms(s_k, s_k1)))
             # range-add via difference arrays: each window sum S_{i,l}
-            # contributes its reciprocal to positions i .. i+l-1
-            diff = np.zeros(self.n + 1)
-            r1 = 2.0 / s_k1
-            for i in range(len(s_k1)):
-                diff[i] += w * r1[i]
-                diff[i + k + 1] -= w * r1[i]
-            rk = 1.0 / s_k
-            for i in range(len(s_k1)):  # S_{i,k} term, i = 1..n-k
-                diff[i] -= w * rk[i]
-                diff[i + k] += w * rk[i]
-                diff[i + 1] -= w * rk[i + 1]  # S_{i+1,k} term
-                diff[i + k + 1] += w * rk[i + 1]
+            # contributes its reciprocal to positions i .. i+l-1; the slice
+            # updates keep the order of a loop over the windows i, so every
+            # entry sums its contributions in that order
+            m = n - k
+            r1 = w * (2.0 / s_k1)
+            rk = w * (1.0 / s_k)
+            diff = np.zeros(n + 1)
+            diff[k + 1:k + 1 + m] -= r1
+            diff[:m] += r1
+            diff[k + 1:k + 1 + m] += rk[1:]
+            diff[k:k + m] += rk[:m]
+            diff[1:1 + m] -= rk[1:]
+            diff[:m] -= rk[:m]
             grad += np.cumsum(diff[:-1])
-        return grad
+        return math.fsum(costs), grad
 
 
 @dataclass
@@ -194,16 +221,18 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
         return full
 
     def fun(s):
-        return problem.objective(split(s))
-
-    def jac(s):
         full = split(s)
-        return problem.gradient(full)[support] * full[support]
+        value, grad = problem.value_and_grad(full)
+        return value, grad[support] * full[support]
+
+    # scipy hands its current result to a callback with this parameter name,
+    # so the trace reads the value L-BFGS-B already has
+    def record(intermediate_result):
+        trace.append(intermediate_result.fun)
 
     s0 = np.log(base[support])
     res = scipy_minimize(
-        fun, s0, jac=jac, method="L-BFGS-B",
-        callback=lambda s: trace.append(fun(s)),
+        fun, s0, jac=True, method="L-BFGS-B", callback=record,
         options={"maxiter": 1000, "gtol": 1e-13, "ftol": 1e-16},
     )
     best = split(res.x)

@@ -35,6 +35,34 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_cli_pins_scipy_blas_threads_unless_set(user_value):
+    # the pin must be in place before scipy loads its OpenBLAS; a pinned
+    # OpenBLAS starts no threads of its own
+    src = str(Path(bvgamma.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = ("import os\n"
+            "def threads():\n"
+            "    if not os.path.exists('/proc/self/status'):\n"
+            "        return 0\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('Threads:'))\n"
+            "import bvgamma.cli\n"
+            "before = threads()\n"
+            "import scipy.optimize\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], threads() - before)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    value, added = out.stdout.split()
+    if user_value is None:
+        assert (value, added) == ("1", "0")
+    else:
+        assert value == user_value
+
+
 class TestLawSpec:
     def test_mini_language(self, tmp_path):
         assert parse_law_spec("phi1") == ModelLaw(1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,64 @@ def random_admissible(rng, n, k):
         l[rng.random(n) < 0.3] = 0.0
         if in_domain(l, k):
             return l
+
+
+def _in_domain_convolve(lengths, k):
+    """Window-sum form of the domain test: the oracle for in_domain."""
+    lengths = np.asarray(lengths, dtype=float)
+    if np.any(lengths < 0):
+        return False
+    if k >= len(lengths):
+        return bool(np.any(lengths > 0))
+    return bool(np.all(np.convolve(lengths, np.ones(k), mode="valid") > 0))
+
+
+def _telescopic_margin_per_cost(lengths, a, b):
+    """Margin with the window sums formed again for each cost: the oracle for
+    telescopic_margin."""
+    lengths = np.asarray(lengths, dtype=float)
+    n = len(lengths)
+
+    def terms(j):
+        s_j, s_j1 = window_sums(lengths, j), window_sums(lengths, j + 1)
+        return 2.0 * np.log(s_j1) - np.log(s_j[:-1]) - np.log(s_j[1:])
+
+    lhs = [t for j in range(a, b + 1) for t in terms(j)]
+    s_a, s_b1 = window_sums(lengths, a), window_sums(lengths, b + 1)
+    shift = (b - a) + 1
+    rhs = (2.0 * np.log(s_b1) - np.log(s_a[: n - b])
+           - np.log(s_a[shift: shift + n - b]))
+    return math.fsum(lhs) - math.fsum(rhs)
+
+
+def _loop_gradient(problem, lengths):
+    """Gradient with one range-add per window: the oracle for value_and_grad."""
+    lengths = np.asarray(lengths, dtype=float)
+    grad = np.zeros(problem.n)
+    for k, w in problem.law.steps:
+        w = float(w)
+        s_k = window_sums(lengths, k)
+        s_k1 = window_sums(lengths, k + 1)
+        diff = np.zeros(problem.n + 1)
+        r1 = 2.0 / s_k1
+        for i in range(len(s_k1)):
+            diff[i] += w * r1[i]
+            diff[i + k + 1] -= w * r1[i]
+        rk = 1.0 / s_k
+        for i in range(len(s_k1)):
+            diff[i] -= w * rk[i]
+            diff[i + k] += w * rk[i]
+            diff[i + 1] -= w * rk[i + 1]
+            diff[i + k + 1] += w * rk[i + 1]
+        grad += np.cumsum(diff[:-1])
+    return grad
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
 
 
 class TestWindowSums:
@@ -67,6 +126,15 @@ class TestDomain:
                 run = run + 1 if x == 0 else 0
                 best = max(best, run)
             assert in_domain(l, k) == (best < k if k <= n else l.sum() > 0)
+
+    def test_matches_convolution_form(self):
+        rng = np.random.default_rng(29)
+        special = [0.0, 0.0, 1.0, 2.5, 1e-320, math.inf, math.nan, -1.0]
+        for _ in range(20_000):
+            n = int(rng.integers(0, 10))
+            l = rng.choice(special, size=n, p=[0.3, 0.2, 0.2, 0.1, 0.06, 0.05, 0.05, 0.04])
+            k = int(rng.integers(0, 12))
+            assert _outcome(in_domain, l, k) is _outcome(_in_domain_convolve, l, k)
 
 
 class TestLogCost:
@@ -137,7 +205,9 @@ class TestTelescopic:
             a = int(rng.integers(1, min(4, n - 1) + 1))
             l = random_admissible(rng, n, a)
             b = int(rng.integers(a, n))
-            assert telescopic_margin(l, a, b) >= -1e-10
+            margin = telescopic_margin(l, a, b)
+            assert margin >= -1e-10
+            assert margin == _telescopic_margin_per_cost(l, a, b)
 
     def test_package_mean_bound(self):
         # summing the costs over a dyadic package bounds below by the
@@ -189,6 +259,42 @@ class TestMinProblem:
             lm = l.copy(); lm[i] -= eps
             fd = (pb.objective(lp) - pb.objective(lm)) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+class TestValueAndGrad:
+    LAWS = [ModelLaw(1), ModelLaw(3), PackagedDyadicLaw((1, 1)),
+            PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)),
+            PiecewiseConstantLaw((Fraction(1, 3), 0, Fraction(2, 7)))]
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_matches_per_cost_objective_and_loop_gradient(self, law):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            n = int(rng.integers(law.steps[-1][0] + 1, 21))
+            pb = MinProblem(n=n, law=law)
+            l = random_admissible(rng, n, pb.min_index)
+            value, grad = pb.value_and_grad(l)
+            assert value == pb.objective(l)
+            assert value == math.fsum(w * log_cost(l, k) for k, w in law.steps)
+            assert grad.tobytes() == _loop_gradient(pb, l).tobytes()
+            assert grad.tobytes() == pb.gradient(l).tobytes()
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_rejects_wrong_length_and_zero_run(self, law):
+        n = law.steps[-1][0] + 3
+        pb = MinProblem(n=n, law=law)
+        with pytest.raises(ValueError):
+            pb.value_and_grad(np.ones(n + 1))
+        run = np.ones(n)
+        run[1:pb.min_index] = 0.0
+        pb.value_and_grad(run)  # one zero short of the forbidden run
+        run[pb.min_index] = 0.0
+        with pytest.raises(ValueError):
+            pb.value_and_grad(run)
+        negative = np.ones(n)
+        negative[1] = -1.0
+        with pytest.raises(ValueError):
+            pb.value_and_grad(negative)
 
 
 class TestMinimize:
