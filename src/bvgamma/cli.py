@@ -29,10 +29,8 @@ from .laws import (
 )
 from .stepfn import (
     StepFunction,
-    gaps,
     rearrange,
     segment,
-    staircase_from_gaps,
     truncate,
 )
 

@@ -183,11 +183,16 @@ def _measure_above(w: np.ndarray, h: float, threshold: float) -> float:
 
 
 def _inner_integral(law, w: np.ndarray, h: float, delta: float, items) -> float:
-    """Integral over x of law(|w(x)| / delta) on the sampling grid."""
+    """Integral over x of law(|w(x)| / delta) on the sampling grid.
+
+    ``w`` is a caller-owned work array: the law branch overwrites it with
+    |w| / delta.
+    """
     if items is not None:
         return math.fsum(
             wt * _measure_above(w, h, k * delta) for k, wt in items)
-    vals = np.asarray(law(np.abs(w) / delta), dtype=float)
+    np.abs(w, out=w)
+    vals = np.asarray(law(np.divide(w, delta, out=w)), dtype=float)
     return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
 
 
@@ -225,13 +230,17 @@ def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
     place only.
     """
     items = getattr(law, "steps", None)
+    n = len(samples)
+    # fresh grid-sized temporaries page-fault back in on every shift
+    work = np.empty(n - 1)
 
     def integrand(js):
-        return np.array([_inner_integral(law, samples[j:] - samples[:-j], h, delta, items)
-                         * delta / (j * h) ** 2 for j in js])
+        return np.array([
+            _inner_integral(law, np.subtract(samples[j:], samples[:-j], out=work[:n - j]),
+                            h, delta, items) * delta / (j * h) ** 2 for j in js])
 
     # the integrand vanishes (or is negligibly small) below the first shift
-    js = _shift_indices(len(samples) - 1)
+    js = _shift_indices(n - 1)
     fvals = integrand(js)
     while True:
         val = 2.0 * float(np.trapezoid(fvals, js * h))

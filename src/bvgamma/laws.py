@@ -185,7 +185,8 @@ class AffineThetaLaw(InteractionLaw):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return np.clip(t - 1.0, 0.0, 1.0)[()]
+        r = np.subtract(t, 1.0, out=np.empty(t.shape))
+        return np.clip(r, 0.0, 1.0, out=r)[()]
 
     def scale_factor(self) -> float:
         # integral of (t-1)/t^2 on (1,2) plus 1/t^2 tail beyond 2
@@ -224,20 +225,17 @@ class DyadicAffineLaw(InteractionLaw):
             raise ValueError("node values must be nondecreasing")
         if vals[-1] == 0:
             raise ValueError("law would be identically zero")
+        given = dict(pairs)
+        # node values are nondecreasing, so the running max holds each gap
+        object.__setattr__(self, "_table", np.maximum.accumulate(
+            [given.get(i, 0.0) for i in range(zs[0], zs[-1] + 1)]))
 
     def _seq(self, z):
         """Sequence value at integer index z (zero left, gaps held, constant right)."""
         zmin = self.nodes[0][0]
         zmax = self.nodes[-1][0]
-        z = np.asarray(z)
-        vals = dict(self.nodes)
-        # node values are nondecreasing, so the running max holds each gap
-        table = np.maximum.accumulate([vals.get(i, 0.0) for i in range(zmin, zmax + 1)])
-        zi = np.clip(z, zmin - 1, zmax)
-        out = np.where(
-            zi < zmin, 0.0, table[np.clip(zi - zmin, 0, zmax - zmin)]
-        )
-        return out
+        zi = np.clip(np.asarray(z), zmin - 1, zmax)
+        return np.where(zi < zmin, 0.0, self._table[np.clip(zi - zmin, 0, zmax - zmin)])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

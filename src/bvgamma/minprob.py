@@ -236,6 +236,7 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
         options={"maxiter": 1000, "gtol": 1e-13, "ftol": 1e-16},
     )
     best = split(res.x)
+    # res.fun can differ from the cost of res.x; report the cost of the minimizer returned
     return float(problem.objective(best)), _normalize(best)
 
 

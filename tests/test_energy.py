@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from bvgamma import energy
 from bvgamma.energy import (
     _measure_above,
     geometric_constant,
@@ -14,7 +15,13 @@ from bvgamma.energy import (
     lambda_strip,
     rect_interaction,
 )
-from bvgamma.laws import ModelLaw, PackagedDyadicLaw, PiecewiseConstantLaw
+from bvgamma.laws import (
+    AffineThetaLaw,
+    DyadicAffineLaw,
+    ModelLaw,
+    PackagedDyadicLaw,
+    PiecewiseConstantLaw,
+)
 from bvgamma.minprob import in_domain, log_cost
 from bvgamma.stepfn import StepFunction, gaps, rearrange, staircase_from_gaps
 
@@ -283,6 +290,41 @@ class TestMeasureAbove:
         w = np.array([0.0, 2.0, 2.0, 0.0, -2.0, -2.0])
         # above 1 on [0.5, 2.5] and below -1 on [3.5, 5]
         assert _measure_above(w, 1.0, 1.0) == 3.5
+
+
+def _inner_integral_allocating(law, w, h, delta, items):
+    """Inner integral with fresh temporaries per shift: the oracle for the work array."""
+    if items is not None:
+        return math.fsum(wt * _measure_above(w, h, k * delta) for k, wt in items)
+    vals = np.asarray(law(np.abs(w) / delta), dtype=float)
+    return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
+
+
+def _bump(x):
+    return np.sin(np.pi * np.asarray(x)) ** 2
+
+
+def _linear(x):
+    return np.asarray(x, dtype=float)
+
+
+class TestLambdaQuadWorkArray:
+    """The shift loop writes every shift into one work array per grid level,
+    and the law branch overwrites it; results must equal the allocating
+    loop's bit for bit."""
+
+    # the largest grids are 32768 points, except 16384 for the slower zeta law
+    @pytest.mark.parametrize("law, u, delta", [
+        (AffineThetaLaw(), _bump, 0.005),
+        (AffineThetaLaw(), _linear, 0.002),
+        (ModelLaw(1), _bump, 0.01),
+        (DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))), _bump, 0.01),
+    ])
+    def test_matches_allocating_inner_integral(self, monkeypatch, law, u, delta):
+        got = lambda_quad(law, u, (0.0, 1.0), delta)
+        monkeypatch.setattr(energy, "_inner_integral", _inner_integral_allocating)
+        want = lambda_quad(law, u, (0.0, 1.0), delta)
+        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
 
 class TestLambdaQuadLinear:

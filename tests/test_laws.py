@@ -39,6 +39,15 @@ def quad_scale_factor(law, nodes=()):
     return body + tail
 
 
+def _dyadic_seq_rebuilt(nodes, z):
+    """Node sequence with its table rebuilt per call: the oracle for the stored table."""
+    zmin, zmax = nodes[0][0], nodes[-1][0]
+    vals = dict(nodes)
+    table = np.maximum.accumulate([vals.get(i, 0.0) for i in range(zmin, zmax + 1)])
+    zi = np.clip(np.asarray(z), zmin - 1, zmax)
+    return np.where(zi < zmin, 0.0, table[np.clip(zi - zmin, 0, zmax - zmin)])
+
+
 class TestEvaluate:
     def test_model_below_threshold(self):
         assert ModelLaw(1)(0.5) == 0.0
@@ -84,6 +93,32 @@ class TestEvaluate:
                     DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
                     phi_eps(0.25)):
             assert law(lo) <= law(hi) + 1e-12
+
+    @pytest.mark.parametrize("t", [1.5, np.array(0.25), np.linspace(-1.0, 3.0, 41),
+                                   np.linspace(0.0, 3.0, 12).reshape(3, 4)])
+    def test_theta_matches_clipped_shift(self, t):
+        want = np.clip(np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)[()]
+        got = AffineThetaLaw()(t)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("nodes", [
+        ((-2, 0.1), (0, 0.5), (2, 1.5)),
+        ((-2, 0.1), (-1, 0.3), (0, 0.35), (2, 2.0)),
+        tuple((z, min(1.0, 4.0 ** z)) for z in range(-6, 2)),
+    ])
+    def test_dyadic_affine_matches_per_call_table(self, nodes):
+        law = DyadicAffineLaw(nodes=nodes)
+        t = np.linspace(0.0, 16.0, 20001)
+        z = np.floor(np.log2(np.where(t > 0, t, 1.0))).astype(int)
+        lo, hi = _dyadic_seq_rebuilt(law.nodes, z), _dyadic_seq_rebuilt(law.nodes, z + 1)
+        node = np.exp2(z)
+        want = np.where(t > 0, lo + (hi - lo) * (t - node) / node, 0.0)
+        assert law(t).tobytes() == want.tobytes()
+        zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
+        seq = [float(_dyadic_seq_rebuilt(law.nodes, z)) for z in range(zmin - 1, zmax + 2)]
+        steps = [(z, b - a) for z, a, b in zip(range(zmin - 1, zmax + 1), seq, seq[1:])]
+        assert law.increments() == [(z, d) for z, d in steps if d != 0.0]
 
 
 class TestScaleFactor:
