@@ -12,6 +12,7 @@ from .laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    QuadraticHeadLaw,
     ScaledLaw,
     TabulatedLaw,
     check_admissible,

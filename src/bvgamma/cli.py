@@ -232,28 +232,31 @@ def cmd_minprob(ctx, spec_text, n_text, starts, seed, dump_minimizer):
 # verify
 # ---------------------------------------------------------------------------
 
-def random_length_tuple(rng, n, zero_prob=0.3):
+def random_length_tuple(rng, n):
+    """n lognormal lengths, each zeroed with probability 0.3."""
     vals = rng.lognormal(0.0, 1.0, size=n)
-    mask = rng.random(n) < zero_prob
+    mask = rng.random(n) < 0.3
     vals[mask] = 0.0
     return vals
 
 
-def random_arrangement(rng, max_pieces=20, max_level=6):
-    n = int(rng.integers(2, max_pieces + 1))
+def random_arrangement(rng):
+    """Step function on [0, 10] with 2..20 pieces at integer levels 0..6."""
+    n = int(rng.integers(2, 21))
     bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
     while np.any(np.diff(bp) < 1e-6):
         bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    vals = rng.integers(0, max_level + 1, size=n)
+    vals = rng.integers(0, 7, size=n)
     return StepFunction(tuple(bp), tuple(float(v) for v in vals))
 
 
-def random_step_function(rng, max_pieces=10, spread=3.0):
-    n = int(rng.integers(2, max_pieces + 1))
+def random_step_function(rng):
+    """Step function on [0, 10] with 2..10 pieces valued in [-3, 3]."""
+    n = int(rng.integers(2, 11))
     bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
     while np.any(np.diff(bp) < 1e-6):
         bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    vals = rng.uniform(-spread, spread, size=n)
+    vals = rng.uniform(-3.0, 3.0, size=n)
     return StepFunction(tuple(bp), tuple(vals))
 
 
@@ -528,14 +531,12 @@ def energy_step(ctx, spec_text, u_path, deltas):
 
 @cmd_energy.command("gd")
 @click.option("--dmax", type=int, default=4, show_default=True)
-@click.option("--samples", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.pass_context
-def energy_gd(ctx, dmax, samples, seed):
+def energy_gd(ctx, dmax):
     """Table of the geometric constants up to a given dimension."""
     rows = []
     for d in range(1, dmax + 1):
-        res = energy_mod.geometric_constant(d, samples=samples, seed=seed)
+        res = energy_mod.geometric_constant(d)
         rows.append([d, res.value, res.method, res.error_estimate])
     _emit_rows(["d", "value", "method", "error_estimate"], rows, ctx.obj["json"])
 

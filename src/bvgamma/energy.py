@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import InteractionLaw
+from .minprob import in_domain, log_cost
 from .stepfn import StepFunction, transition_abscissae
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 @dataclass(frozen=True)
 class EnergyResult:
     value: float
-    method: str  # "exact" | "quadrature" | "montecarlo"
+    method: str  # "exact" | "quadrature"
     error_estimate: float = 0.0
 
     @property
@@ -132,34 +133,23 @@ def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyRes
     return EnergyResult(value, "exact")
 
 
-def lambda_strip(law, u: StepFunction, delta: float, window=None) -> EnergyResult:
+def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
     """Strip energy of a monotone lattice staircase, as an exact log sum.
 
     The staircase is imagined extended to the whole line with constant tails;
     the inner integral runs over the full line while the outer runs between
-    the covered transitions.  ``window`` restricts which transition abscissae
-    participate (default: all of them).
+    the covered transitions.  The energy is delta times the weighted log costs
+    of the gaps between transitions, over the steps k with at least k + 1
+    gaps; it is +inf when k consecutive gaps vanish for the smallest such k.
     """
-    xs = transition_abscissae(u, delta)
-    if window is not None:
-        lo, hi = window
-        xs = tuple(x for x in xs if lo <= x <= hi)
     steps = getattr(law, "steps", None)
     if steps is None:
         raise TypeError("expected a piecewise-constant interaction law")
-    n = len(xs) - 1  # number of inter-transition lengths
-    total = 0.0
-    for k, w in steps:
-        if n < k + 1:
-            continue
-        for i in range(1, n - k + 1):
-            num = xs[i + k] - xs[i - 1]
-            d1 = xs[i + k - 1] - xs[i - 1]
-            d2 = xs[i + k] - xs[i]
-            if d1 <= 0 or d2 <= 0:
-                return EnergyResult(math.inf, "exact")
-            total += w * math.log(num * num / (d1 * d2))
-    return EnergyResult(delta * total, "exact")
+    lengths = np.diff(transition_abscissae(u, delta))
+    active = [(k, w) for k, w in steps if k + 1 <= len(lengths)]
+    if active and not in_domain(lengths, active[0][0]):
+        return EnergyResult(math.inf, "exact")
+    return EnergyResult(delta * math.fsum(w * log_cost(lengths, k) for k, w in active), "exact")
 
 
 def _measure_above(w: np.ndarray, h: float, threshold: float) -> float:
@@ -258,7 +248,7 @@ def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
 
 
 def lambda_quad(law: InteractionLaw, u, interval, delta: float,
-                tol: float = 1e-3, max_grid: int = 1 << 21) -> EnergyResult:
+                tol: float = 1e-3) -> EnergyResult:
     """Double-integral energy of a smooth function by grid quadrature.
 
     ``u`` must be callable on numpy arrays and Lipschitz on the interval.  The
@@ -266,9 +256,10 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     the previous grid, which has half as many points) and the outer shift
     quadrature on the current grid (trapezoid on all shift nodes against
     trapezoid on every other node).  The grid is refined until that sum is
-    within ``tol`` (relative); refinement past ``max_grid`` points raises
+    within ``tol`` (relative); refinement past 2^21 grid points raises
     RuntimeError.
     """
+    max_grid = 1 << 21
     a, b = interval
     if not a < b:
         raise ValueError("empty interval")
@@ -296,28 +287,16 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
         n *= 2
 
 
-def _sphere_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(math.lgamma(d / 2.0))
-
-
-def geometric_constant(d: int, samples: int = 200_000, seed: int = 0) -> EnergyResult:
+def geometric_constant(d: int) -> EnergyResult:
     """Average absolute projection over the unit sphere, times its measure.
 
-    Closed forms for d <= 3; Monte Carlo with reported standard error beyond.
+    The closed form 2*pi^((d-1)/2) / Gamma((d+1)/2), built by the recurrence
+    G(d) = G(d-2) * 2*pi / (d-1) from G(1) = 2 and G(2) = 4 so that the low
+    dimensions come out exact.
     """
     if d < 1:
         raise ValueError("dimension must be a positive integer")
-    if d == 1:
-        return EnergyResult(2.0, "exact")
-    if d == 2:
-        return EnergyResult(4.0, "exact")
-    if d == 3:
-        return EnergyResult(2.0 * math.pi, "exact")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, d))
-    proj = np.abs(pts[:, 0]) / np.linalg.norm(pts, axis=1)
-    area = _sphere_area(d)
-    mean = float(np.mean(proj))
-    se = float(np.std(proj, ddof=1) / math.sqrt(samples))
-    return EnergyResult(area * mean, "montecarlo", error_estimate=area * se)
+    g = 2.0 if d % 2 else 4.0
+    for m in range(4 - d % 2, d + 1, 2):
+        g = g * 2.0 * math.pi / (m - 1)
+    return EnergyResult(g, "exact")

@@ -10,6 +10,8 @@ small near the origin.  Several concrete families are supported:
 * piecewise-affine laws with nodes at powers of two driven by a monotone
   integer-indexed sequence,
 * horizontal/vertical rescalings of any law,
+* the quadratic-head law c*eps*t^2 on [0, 1], c beyond, with unit scale
+  factor,
 * tabulated laws given by samples.
 
 Every law evaluates on scalars or numpy arrays, knows its scale factor
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "AffineThetaLaw",
     "DyadicAffineLaw",
     "ScaledLaw",
+    "QuadraticHeadLaw",
     "TabulatedLaw",
     "AdmissibilityReport",
     "check_admissible",
@@ -387,21 +390,33 @@ def rescale(law: InteractionLaw, alpha: float, beta: float) -> ScaledLaw:
     return ScaledLaw(inner=law, alpha=alpha, beta=beta)
 
 
-def phi_eps(eps: float, panels: int = 4096) -> TabulatedLaw:
-    """Quadratic-head law c*(eps*t^2 on [0,1], 1 beyond), normalized to unit scale factor.
+@dataclass(frozen=True)
+class QuadraticHeadLaw(InteractionLaw):
+    """c*eps*t^2 on [0, 1] and c beyond, with c = 1/(1+eps) for a unit scale factor."""
 
-    The normalization constant is c = 1/(1+eps): the head contributes eps*c to
-    the scale factor and the constant tail contributes c.
-    """
-    if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
-    c = 1.0 / (1.0 + eps)
-    ts = np.linspace(1.0 / panels, 1.0, panels)
-    vs = c * eps * ts ** 2
-    # the jump at t=1 is resolved by a steep affine panel; keep it tight
-    grid = tuple(ts) + (1.0 + 1e-9, 2.0)
-    samples = tuple(vs) + (c, c)
-    return TabulatedLaw(grid=grid, samples=samples, origin_power=2.0)
+    eps: float
+
+    def __post_init__(self):
+        if not (0 < self.eps <= 1):
+            raise ValueError("eps must lie in (0, 1]")
+        object.__setattr__(self, "_c", 1.0 / (1.0 + self.eps))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        head = np.clip(t, 0.0, 1.0)
+        return np.where(t > 1.0, self._c, self._c * self.eps * head * head)[()]
+
+    def scale_factor(self) -> float:
+        # the head contributes c*eps and the constant tail c
+        return self._c * self.eps + self._c
+
+    def upper_bound(self) -> float:
+        return self._c
+
+
+def phi_eps(eps: float) -> QuadraticHeadLaw:
+    """Quadratic-head law for eps in (0, 1], normalized to unit scale factor."""
+    return QuadraticHeadLaw(eps=eps)
 
 
 @dataclass
@@ -519,6 +534,8 @@ def law_to_json(law: InteractionLaw) -> dict:
             "alpha": law.alpha,
             "beta": law.beta,
         }
+    if isinstance(law, QuadraticHeadLaw):
+        return {"variant": "quadratic_head", "eps": law.eps}
     if isinstance(law, TabulatedLaw):
         return {
             "variant": "tabulated",
@@ -550,6 +567,8 @@ def law_from_json(doc) -> InteractionLaw:
             alpha=float(doc["alpha"]),
             beta=float(doc["beta"]),
         )
+    if variant == "quadratic_head":
+        return QuadraticHeadLaw(eps=float(doc["eps"]))
     if variant == "tabulated":
         return TabulatedLaw(
             grid=tuple(doc["grid"]),

@@ -189,14 +189,15 @@ class MinResult:
     winning_seed: str      # e.g. "period-3", "smooth-start-17"
     traces: list = field(default_factory=list)  # (seed tag, [objective per iteration])
 
-    def to_json(self, max_trace: int = 20) -> dict:
+    def to_json(self) -> dict:
+        """JSON view; each trace keeps its first 20 iterations."""
         return {
             "value": self.value,
             "minimizer": [float(x) for x in self.minimizer],
             "starts": self.starts,
             "winning_seed": self.winning_seed,
             "traces": [
-                {"seed": tag, "objective": [float(v) for v in vals[:max_trace]]}
+                {"seed": tag, "objective": [float(v) for v in vals[:20]]}
                 for tag, vals in self.traces
             ],
         }

@@ -16,7 +16,7 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
-    TabulatedLaw,
+    QuadraticHeadLaw,
 )
 
 
@@ -71,7 +71,7 @@ class TestLawSpec:
         assert parse_law_spec("pca:[1,0,2]") == PiecewiseConstantLaw((1, 0, 2))
         assert parse_law_spec("pca2:[0,1]") == PackagedDyadicLaw((0, 1))
         assert parse_law_spec("theta") == AffineThetaLaw()
-        assert isinstance(parse_law_spec("phieps:0.1"), TabulatedLaw)
+        assert isinstance(parse_law_spec("phieps:0.1"), QuadraticHeadLaw)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"nodes": [[0, 0.0], [1, 1.0]]}))
         assert parse_law_spec(f"zeta:@{path}") == DyadicAffineLaw(

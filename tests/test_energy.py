@@ -23,7 +23,13 @@ from bvgamma.laws import (
     PiecewiseConstantLaw,
 )
 from bvgamma.minprob import in_domain, log_cost
-from bvgamma.stepfn import StepFunction, gaps, rearrange, staircase_from_gaps
+from bvgamma.stepfn import (
+    StepFunction,
+    gaps,
+    rearrange,
+    staircase_from_gaps,
+    transition_abscissae,
+)
 
 
 class TestRectInteraction:
@@ -197,6 +203,24 @@ class TestPairKernel:
         assert lambda_step(ModelLaw(3), u, 0.1).value == 0.0
 
 
+def _lambda_strip_loop(law, u, delta):
+    """Loop over transition abscissae: the oracle for lambda_strip."""
+    xs = transition_abscissae(u, delta)
+    n = len(xs) - 1
+    total = 0.0
+    for k, w in law.steps:
+        if n < k + 1:
+            continue
+        for i in range(1, n - k + 1):
+            num = xs[i + k] - xs[i - 1]
+            d1 = xs[i + k - 1] - xs[i - 1]
+            d2 = xs[i + k] - xs[i]
+            if d1 <= 0 or d2 <= 0:
+                return math.inf
+            total += w * math.log(num * num / (d1 * d2))
+    return delta * total
+
+
 class TestLambdaStrip:
     def test_unit_gap_staircase(self):
         delta = 0.5
@@ -221,6 +245,32 @@ class TestLambdaStrip:
                 v1 = lambda_strip(ModelLaw(k), u, delta).value
                 v2 = delta * log_cost(l, k)
                 assert v1 == pytest.approx(v2, rel=1e-12)
+
+    @pytest.mark.parametrize("law", [
+        ModelLaw(1), ModelLaw(3), PiecewiseConstantLaw((0.5, 0, 2)),
+        PackagedDyadicLaw((1, 1)), PackagedDyadicLaw((0, 0, 1)),
+    ], ids=["phi1", "phi:3", "pca", "psi:2", "pca2"])
+    def test_matches_loop_with_zero_gaps(self, law):
+        rng = np.random.default_rng(15)
+        kinds = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 14))
+            l = rng.uniform(0.05, 2.0, n)
+            l[rng.random(n) < 0.3] = 0.0
+            if l[0] == 0.0:
+                l[0] = 0.3
+            delta = float(rng.choice([0.1, 0.5, 1.0]))
+            u = staircase_from_gaps(l, delta)
+            got = lambda_strip(law, u, delta).value
+            want = _lambda_strip_loop(law, u, delta)
+            if math.isinf(want) or want == 0.0:
+                kinds.add(want)
+                assert got == want
+            else:
+                kinds.add("finite")
+                assert abs(got - want) <= 1e-14 * want
+        # the all-inactive and +inf branches are both reached
+        assert {0.0, math.inf} <= kinds
 
     def test_rejects_non_monotone(self):
         u = StepFunction((0, 1, 2), (1.0, 0.0))
@@ -356,16 +406,13 @@ class TestGeometricConstant:
         assert geometric_constant(3).value == pytest.approx(
             2.0 * math.pi * g3, abs=1e-10)
 
-    def test_monte_carlo_d4(self):
-        # oracle: |S^2| * int |cos t| sin^2 t dt = 4*pi * 2/3
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_closed_form_against_quadrature(self, d):
+        # |S^(d-2)| * int_0^pi |cos t| sin^(d-2) t dt
+        sphere = 2.0 * math.pi ** ((d - 1) / 2) / math.gamma((d - 1) / 2)
         body, _ = integrate.quad(
-            lambda t: abs(math.cos(t)) * math.sin(t) ** 2, 0.0, math.pi)
-        oracle = 4.0 * math.pi * body
-        res = geometric_constant(4, samples=200_000, seed=0)
-        assert res.method == "montecarlo"
-        assert abs(res.value - oracle) <= 3.0 * res.error_estimate
-
-    def test_deterministic_given_seed(self):
-        a = geometric_constant(5, samples=20_000, seed=42)
-        b = geometric_constant(5, samples=20_000, seed=42)
-        assert a.value == b.value
+            lambda t: abs(math.cos(t)) * math.sin(t) ** (d - 2), 0.0, math.pi,
+            points=(0.5 * math.pi,))
+        res = geometric_constant(d)
+        assert res.method == "exact"
+        assert res.value == pytest.approx(sphere * body, rel=1e-12)

@@ -29,11 +29,12 @@ from bvgamma.stepfn import StepFunction
 def quad_scale_factor(law, nodes=()):
     """Independent quadrature oracle for the scale factor.
 
-    The tail integral beyond the last node is taken with the substitution
-    s = 1/t, which maps it to a bounded integral of law(1/s).
+    The body starts at 0 (quadrature nodes are interior, so t = 0 is never
+    evaluated).  The tail integral beyond the last node is taken with the
+    substitution s = 1/t, which maps it to a bounded integral of law(1/s).
     """
     pts = sorted(set(nodes) | {1.0})
-    body, _ = integrate.quad(lambda t: law(t) / t ** 2, 1e-9, max(pts),
+    body, _ = integrate.quad(lambda t: law(t) / t ** 2, 0.0, max(pts),
                              points=pts, limit=500)
     tail, _ = integrate.quad(lambda s: law(1.0 / s), 0.0, 1.0 / max(pts), limit=500)
     return body + tail
@@ -227,9 +228,9 @@ class TestPhiEps:
             assert law(2.0) == pytest.approx(1.0 / (1.0 + eps), rel=1e-9)
 
     def test_unit_scale_factor(self):
-        assert phi_eps(0.5).scale_factor() == pytest.approx(1.0, abs=2e-5)
+        assert phi_eps(0.5).scale_factor() == pytest.approx(1.0, abs=1e-15)
         oracle = quad_scale_factor(phi_eps(0.5), nodes=(1.0, 2.0))
-        assert phi_eps(0.5).scale_factor() == pytest.approx(oracle, rel=1e-6)
+        assert phi_eps(0.5).scale_factor() == pytest.approx(oracle, rel=1e-10)
 
     def test_positive_near_zero(self):
         law = phi_eps(0.01)
