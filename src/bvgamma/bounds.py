@@ -31,6 +31,7 @@ __all__ = [
     "theta_bound",
     "zeta_bound",
     "counterexample_table",
+    "suite_domination",
     "harmonic_number",
 ]
 
@@ -163,6 +164,26 @@ def domination_margins(m: int, grid) -> np.ndarray:
     return theta(grid) - pkg((scale - 1.0) * grid) / scale
 
 
+_DOMINATION_PACKAGES = range(2, 9)
+
+
+def _domination_scan(grid) -> tuple:
+    """Least domination margin over the packages and the grid, with its (m, t)."""
+    worst, witness = math.inf, None
+    for m in _DOMINATION_PACKAGES:
+        margins = domination_margins(m, grid)
+        i = int(np.argmin(margins))
+        if margins[i] < worst:
+            worst = float(margins[i])
+            witness = {"m": m, "t": float(grid[i])}
+    return worst, witness
+
+
+def suite_domination(rng, count: int) -> tuple:
+    """Domination margins on ``count`` evenly spaced points of [0, 4] (no draws)."""
+    return _domination_scan(np.linspace(0.0, 4.0, max(count, 2)))
+
+
 def theta_bound() -> BoundReport:
     """Shape factor of the affine ramp law: exactly one.
 
@@ -171,19 +192,14 @@ def theta_bound() -> BoundReport:
     resulting coefficients converge to the scale factor log(2), so the ratio
     is one.
     """
-    grid = np.linspace(0.0, 4.0, 4001)
-    chain = []
-    for m in range(2, 9):
-        margins = domination_margins(m, grid)
-        worst = float(margins.min())
-        if worst < -1e-12:
-            t_bad = float(grid[int(np.argmin(margins))])
-            raise AssertionError(
-                f"domination failed for package {m} at t={t_bad}: margin {worst}")
-        frac = (2.0 ** (m - 1) - 1.0) / 2.0 ** (m - 1)
-        chain.append((f"dominates-rescaled-package-{m}", frac * math.log(2.0)))
-    chain.append(("scale-factor", math.log(2.0)))
-    chain.append(("limit-of-package-chain", math.log(2.0)))
+    worst, witness = _domination_scan(np.linspace(0.0, 4.0, 4001))
+    if worst < -1e-12:
+        raise AssertionError(f"domination failed for package {witness['m']} "
+                             f"at t={witness['t']}: margin {worst}")
+    chain = [(f"dominates-rescaled-package-{m}",
+              (2.0 ** (m - 1) - 1.0) / 2.0 ** (m - 1) * math.log(2.0))
+             for m in _DOMINATION_PACKAGES]
+    chain += [("scale-factor", math.log(2.0)), ("limit-of-package-chain", math.log(2.0))]
     return BoundReport(
         law_id="theta",
         scale_factor=math.log(2.0),

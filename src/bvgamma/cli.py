@@ -27,12 +27,7 @@ from .laws import (
     law_from_json,
     phi_eps,
 )
-from .stepfn import (
-    StepFunction,
-    rearrange,
-    segment,
-    truncate,
-)
+from .stepfn import StepFunction
 
 # scipy loads its own OpenBLAS on first use; keep its idle threads from spinning
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -78,19 +73,26 @@ def parse_law_spec(spec: str):
 
 
 def _parse_int_range(text: str) -> list:
-    """`8` or `8,12,16` or `2..16`."""
+    """`8` or `8,12,16` or `2..16`; an empty or reversed range is an error."""
     text = text.strip()
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",")]
+    if ".." not in text:
+        return [int(x) for x in text.split(",")]
+    a, b = text.split("..")
+    if int(b) < int(a):
+        raise click.BadParameter(f"empty range {text!r}")
+    return list(range(int(a), int(b) + 1))
 
 
 def _parse_delta_sweep(text: str) -> list:
-    """`1e-2` or comma list or `1e-1..1e-3` (half-decade log spacing)."""
+    """`1e-2` or comma list or `1e-1..1e-3` (half-decade log spacing).
+
+    A range keeps both of its endpoints; `a..a` is the single delta a.
+    """
     text = text.strip()
     if ".." in text:
         a, b = (float(x) for x in text.split(".."))
+        if a == b:
+            return [a]
         steps = max(1, round(2 * abs(math.log10(a / b))))
         return [float(x) for x in np.geomspace(a, b, steps + 1)]
     return [float(x) for x in text.split(",")]
@@ -101,11 +103,7 @@ def _parse_delta_sweep(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _emit_rows(header, rows, as_json):
@@ -232,125 +230,11 @@ def cmd_minprob(ctx, spec_text, n_text, starts, seed, dump_minimizer):
 # verify
 # ---------------------------------------------------------------------------
 
-def random_length_tuple(rng, n):
-    """n lognormal lengths, each zeroed with probability 0.3."""
-    vals = rng.lognormal(0.0, 1.0, size=n)
-    mask = rng.random(n) < 0.3
-    vals[mask] = 0.0
-    return vals
-
-
-def random_arrangement(rng):
-    """Step function on [0, 10] with 2..20 pieces at integer levels 0..6."""
-    n = int(rng.integers(2, 21))
-    bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    while np.any(np.diff(bp) < 1e-6):
-        bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    vals = rng.integers(0, 7, size=n)
-    return StepFunction(tuple(bp), tuple(float(v) for v in vals))
-
-
-def random_step_function(rng):
-    """Step function on [0, 10] with 2..10 pieces valued in [-3, 3]."""
-    n = int(rng.integers(2, 11))
-    bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    while np.any(np.diff(bp) < 1e-6):
-        bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    vals = rng.uniform(-3.0, 3.0, size=n)
-    return StepFunction(tuple(bp), tuple(vals))
-
-
-def _finite_margin(bigger: float, smaller: float) -> float:
-    """Chain margin with the divergence convention inf - inf = 0."""
-    if math.isinf(bigger) and math.isinf(smaller):
-        return 0.0
-    if math.isinf(bigger):
-        return math.inf
-    if math.isinf(smaller):
-        return -math.inf
-    return bigger - smaller
-
-
-def suite_telescope(rng, count):
-    worst, witness = math.inf, None
-    for _ in range(count):
-        n = int(rng.integers(4, 25))
-        a = int(rng.integers(1, min(4, n - 1) + 1))
-        lengths = random_length_tuple(rng, n)
-        while not minprob_mod.in_domain(lengths, a):
-            lengths = random_length_tuple(rng, n)
-        b = int(rng.integers(a, n))
-        margin = minprob_mod.telescopic_margin(lengths, a, b)
-        if b == a and margin != 0.0:
-            return margin, {"lengths": list(lengths), "a": a, "b": b,
-                            "reason": "b=a margin not exactly zero"}
-        if margin < worst:
-            worst = margin
-            witness = {"lengths": [float(x) for x in lengths], "a": a, "b": b}
-    return worst, witness
-
-
-def suite_rearrange(rng, count):
-    kernel = energy_mod.inverse_square_kernel(1.0)
-    worst, witness = math.inf, None
-    for _ in range(count):
-        u = random_arrangement(rng)
-        k = int(rng.integers(1, 6))
-        f_u = energy_mod.hostility(kernel, u, k).value
-        f_mu = energy_mod.hostility(kernel, rearrange(u), k).value
-        margin = _finite_margin(f_u, f_mu)
-        if margin < worst:
-            worst = margin
-            witness = {"u": u.to_json(), "k": k}
-    return worst, witness
-
-
-def suite_domination(rng, count):
-    grid = np.linspace(0.0, 4.0, max(count, 2))
-    worst, witness = math.inf, None
-    for m in range(2, 9):
-        margins = bounds_mod.domination_margins(m, grid)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            witness = {"m": m, "t": float(grid[i])}
-    return worst, witness
-
-
-_CHAIN_LAWS = (
-    ("phi1", ModelLaw(1)),
-    ("psi:2", PackagedDyadicLaw((1, 1))),
-    ("pca2:[0,0,1]", PackagedDyadicLaw((0, 0, 1))),
-)
-
-
-def suite_chain(rng, count):
-    worst, witness = math.inf, None
-    for _ in range(count):
-        u = random_step_function(rng)
-        delta = float(rng.choice([0.5, 1.0]))
-        lo = delta * int(rng.integers(-4, 0))
-        hi = delta * int(rng.integers(1, 5))
-        tu = truncate(u, lo, hi)
-        stu = segment(tu, delta)
-        mstu = rearrange(stu)
-        tag, law = _CHAIN_LAWS[int(rng.integers(0, len(_CHAIN_LAWS)))]
-        vals = [energy_mod.lambda_step(law, w, delta).value
-                for w in (u, tu, stu, mstu)]
-        for stage, (bigger, smaller) in enumerate(zip(vals, vals[1:])):
-            margin = _finite_margin(bigger, smaller)
-            if margin < worst:
-                worst = margin
-                witness = {"u": u.to_json(), "delta": delta, "law": tag,
-                           "stage": stage, "values": [_fmt(v) for v in vals]}
-    return worst, witness
-
-
 _SUITES = {
-    "telescope": suite_telescope,
-    "rearrange": suite_rearrange,
-    "domination": suite_domination,
-    "chain": suite_chain,
+    "telescope": minprob_mod.suite_telescope,
+    "rearrange": energy_mod.suite_rearrange,
+    "domination": bounds_mod.suite_domination,
+    "chain": energy_mod.suite_chain,
 }
 
 
@@ -363,6 +247,8 @@ _SUITES = {
 def cmd_verify(ctx, suite, count, seed, tolerance):
     """Run a randomized inequality suite; exit 1 on a violated margin."""
     count = int(_cfg(ctx, "count", count, 1000))
+    if count < 1:
+        raise click.BadParameter(f"must be at least 1, got {count}", param_hint="--count")
     seed = int(_cfg(ctx, "seed", seed, 0))
     tolerance = float(_cfg(ctx, "tolerance", tolerance, 1e-10))
     rng = np.random.default_rng(seed)
@@ -389,7 +275,13 @@ def cmd_bounds():
     """Shape-factor lower bounds."""
 
 
-def _emit_reports(ctx, reports):
+def _emit_reports(ctx, build):
+    """Print the reports that ``build()`` returns; a failed certificate exits 1."""
+    try:
+        reports = build()
+    except AssertionError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(1)
     if ctx.obj["json"]:
         click.echo(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -403,20 +295,14 @@ def _emit_reports(ctx, reports):
 def bounds_psi(ctx, m_text):
     """Bounds for the full-package laws over a range of depths."""
     ms = _parse_int_range(m_text)
-    reports = [bounds_mod.psi_bound(m) for m in ms]
-    _emit_reports(ctx, reports)
+    _emit_reports(ctx, lambda: [bounds_mod.psi_bound(m) for m in ms])
 
 
 @cmd_bounds.command("theta")
 @click.pass_context
 def bounds_theta(ctx):
     """Shape factor of the affine ramp law (exactly one)."""
-    try:
-        report = bounds_mod.theta_bound()
-    except AssertionError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
-    _emit_reports(ctx, [report])
+    _emit_reports(ctx, lambda: [bounds_mod.theta_bound()])
 
 
 @cmd_bounds.command("zeta")
@@ -426,12 +312,7 @@ def bounds_theta(ctx):
 def bounds_zeta(ctx, f_path):
     """Shape factor of a dyadic-affine law (exactly one)."""
     law = parse_law_spec(f"zeta:@{f_path}")
-    try:
-        report = bounds_mod.zeta_bound(law)
-    except AssertionError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
-    _emit_reports(ctx, [report])
+    _emit_reports(ctx, lambda: [bounds_mod.zeta_bound(law)])
 
 
 @cmd_bounds.command("counterexample")
@@ -444,7 +325,7 @@ def bounds_counterexample(ctx, eps):
         click.echo(json.dumps(doc, indent=2))
     else:
         for key, val in doc.items():
-            click.echo(f"{key}={_fmt(val) if isinstance(val, float) else val}")
+            click.echo(f"{key}={_fmt(val)}")
 
 
 @cmd_bounds.command("factor")

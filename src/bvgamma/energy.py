@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import InteractionLaw
+from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw
 from .minprob import in_domain, log_cost
-from .stepfn import StepFunction, transition_abscissae
+from .stepfn import (
+    StepFunction,
+    random_step_function,
+    rearrange,
+    segment,
+    transition_abscissae,
+    truncate,
+)
 
 __all__ = [
     "EnergyResult",
@@ -27,6 +34,8 @@ __all__ = [
     "lambda_strip",
     "lambda_quad",
     "geometric_constant",
+    "suite_rearrange",
+    "suite_chain",
 ]
 
 
@@ -35,13 +44,6 @@ class EnergyResult:
     value: float
     method: str  # "exact" | "quadrature"
     error_estimate: float = 0.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,60 @@ def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
     if active and not in_domain(lengths, active[0][0]):
         return EnergyResult(math.inf, "exact")
     return EnergyResult(delta * math.fsum(w * log_cost(lengths, k) for k, w in active), "exact")
+
+
+def _chain_margin(bigger: float, smaller: float) -> float:
+    """bigger - smaller, with the divergence convention inf - inf = 0."""
+    return 0.0 if bigger == smaller else bigger - smaller
+
+
+def suite_rearrange(rng, count: int) -> tuple:
+    """Least hostility loss under rearrangement over ``count`` random arrangements."""
+    kernel = inverse_square_kernel(1.0)
+    worst, witness = math.inf, None
+    for _ in range(count):
+        u = random_step_function(rng, 20, levels=7)
+        k = int(rng.integers(1, 6))
+        f_u = hostility(kernel, u, k).value
+        f_mu = hostility(kernel, rearrange(u), k).value
+        margin = _chain_margin(f_u, f_mu)
+        if margin < worst:
+            worst = margin
+            witness = {"u": u.to_json(), "k": k}
+    return worst, witness
+
+
+_CHAIN_LAWS = (
+    ("phi1", ModelLaw(1)),
+    ("psi:2", PackagedDyadicLaw((1, 1))),
+    ("pca2:[0,0,1]", PackagedDyadicLaw((0, 0, 1))),
+)
+
+
+def suite_chain(rng, count: int) -> tuple:
+    """Least energy drop along u >= truncate >= segment >= rearrange.
+
+    Each of ``count`` draws takes a random step function, truncation window,
+    lattice step and law; the witness names the stage of the worst drop.
+    """
+    worst, witness = math.inf, None
+    for _ in range(count):
+        u = random_step_function(rng, 10)
+        delta = float(rng.choice([0.5, 1.0]))
+        lo = delta * int(rng.integers(-4, 0))
+        hi = delta * int(rng.integers(1, 5))
+        tu = truncate(u, lo, hi)
+        stu = segment(tu, delta)
+        mstu = rearrange(stu)
+        tag, law = _CHAIN_LAWS[int(rng.integers(0, len(_CHAIN_LAWS)))]
+        vals = [lambda_step(law, w, delta).value for w in (u, tu, stu, mstu)]
+        for stage, (bigger, smaller) in enumerate(zip(vals, vals[1:])):
+            margin = _chain_margin(bigger, smaller)
+            if margin < worst:
+                worst = margin
+                witness = {"u": u.to_json(), "delta": delta, "law": tag, "stage": stage,
+                           "values": [format(v, ".17g") for v in vals]}
+    return worst, witness
 
 
 def _measure_above(w: np.ndarray, h: float, threshold: float) -> float:

@@ -18,6 +18,8 @@ __all__ = [
     "log_cost",
     "power_cost",
     "telescopic_margin",
+    "random_length_tuple",
+    "suite_telescope",
     "MinProblem",
     "MinResult",
     "minimize",
@@ -62,15 +64,6 @@ def in_domain(lengths, k: int) -> bool:
     return not blocked
 
 
-def _log_cost_terms(lengths, k: int) -> np.ndarray:
-    n = len(lengths)
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} entries")
-    if not in_domain(lengths, k):
-        raise ValueError(f"tuple has {k} consecutive zeros")
-    return _log_terms(window_sums(lengths, k), window_sums(lengths, k + 1))
-
-
 def _log_terms(s_k, s_k1) -> np.ndarray:
     # log-difference form: safe for window sums spanning many magnitudes
     return 2.0 * np.log(s_k1) - np.log(s_k[:-1]) - np.log(s_k[1:])
@@ -78,7 +71,11 @@ def _log_terms(s_k, s_k1) -> np.ndarray:
 
 def log_cost(lengths, k: int) -> float:
     """Sum of log(S_{i,k+1}^2 / (S_{i,k} S_{i+1,k})) over the n-k windows."""
-    return math.fsum(_log_cost_terms(lengths, k))
+    if len(lengths) < k + 1:
+        raise ValueError(f"need at least {k + 1} entries")
+    if not in_domain(lengths, k):
+        raise ValueError(f"tuple has {k} consecutive zeros")
+    return math.fsum(_log_terms(window_sums(lengths, k), window_sums(lengths, k + 1)))
 
 
 def power_cost(lengths, k: int, p: float) -> float:
@@ -116,6 +113,37 @@ def telescopic_margin(lengths, a: int, b: int) -> float:
     rhs_terms = (2.0 * np.log(s_b1) - np.log(s_a[: n - b])
                  - np.log(s_a[shift: shift + n - b]))
     return math.fsum(lhs_terms) - math.fsum(rhs_terms)
+
+
+def random_length_tuple(rng, n: int) -> np.ndarray:
+    """n lognormal lengths, each zeroed with probability 0.3."""
+    vals = rng.lognormal(0.0, 1.0, size=n)
+    mask = rng.random(n) < 0.3
+    vals[mask] = 0.0
+    return vals
+
+
+def suite_telescope(rng, count: int) -> tuple:
+    """Least telescopic margin over ``count`` random tuples, with its witness.
+
+    A b == a draw whose margin is not exactly zero ends the suite at once.
+    """
+    worst, witness = math.inf, None
+    for _ in range(count):
+        n = int(rng.integers(4, 25))
+        a = int(rng.integers(1, min(4, n - 1) + 1))
+        lengths = random_length_tuple(rng, n)
+        while not in_domain(lengths, a):
+            lengths = random_length_tuple(rng, n)
+        b = int(rng.integers(a, n))
+        margin = telescopic_margin(lengths, a, b)
+        if b == a and margin != 0.0:
+            return margin, {"lengths": list(lengths), "a": a, "b": b,
+                            "reason": "b=a margin not exactly zero"}
+        if margin < worst:
+            worst = margin
+            witness = {"lengths": [float(x) for x in lengths], "a": a, "b": b}
+    return worst, witness
 
 
 @dataclass(frozen=True)
@@ -203,10 +231,6 @@ class MinResult:
         }
 
 
-def _normalize(lengths: np.ndarray) -> np.ndarray:
-    return lengths / lengths.sum()
-
-
 def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
     """Smooth descent in log coordinates, restricted to the support of start."""
     # imported here so that commands which never polish skip loading scipy
@@ -238,7 +262,7 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
     )
     best = split(res.x)
     # res.fun can differ from the cost of res.x; report the cost of the minimizer returned
-    return float(problem.objective(best)), _normalize(best)
+    return float(problem.objective(best)), best / best.sum()
 
 
 def _pattern_seeds(problem: MinProblem):

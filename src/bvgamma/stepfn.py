@@ -23,6 +23,7 @@ __all__ = [
     "total_variation",
     "gaps",
     "staircase_from_gaps",
+    "random_step_function",
 ]
 
 
@@ -40,10 +41,6 @@ class StepFunction:
             raise ValueError("need n >= 1 pieces and n + 1 breakpoints")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-
-    @property
-    def domain(self):
-        return (self.breakpoints[0], self.breakpoints[-1])
 
     @property
     def lengths(self):
@@ -217,3 +214,20 @@ def staircase_from_gaps(lengths, delta: float, start: float = 0.0,
     xs.append(pos + tail)
     vs.append(len(lengths) * delta)
     return StepFunction(tuple(xs), tuple(vs))
+
+
+def random_step_function(rng, max_pieces: int, levels: int | None = None) -> StepFunction:
+    """Step function on [0, 10] with 2..max_pieces pieces.
+
+    The values are integers 0..levels-1 when ``levels`` is given and uniform
+    in [-3, 3] otherwise.
+    """
+    n = int(rng.integers(2, max_pieces + 1))
+    bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
+    while np.any(np.diff(bp) < 1e-6):
+        bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
+    if levels is None:
+        vals = rng.uniform(-3.0, 3.0, size=n)
+    else:
+        vals = rng.integers(0, levels, size=n)
+    return StepFunction(tuple(bp), tuple(vals))

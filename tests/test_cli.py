@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import bvgamma
-from bvgamma.cli import main, parse_law_spec
+from bvgamma import bounds, energy, minprob
+from bvgamma.cli import _emit_rows, main, parse_law_spec
 from bvgamma.laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
@@ -129,6 +132,11 @@ class TestMinprobCommand:
         assert lines[0] == "n,value,value_per_n,winning_seed"
         assert len(lines) == 3
 
+    def test_reversed_n_range_exits_2(self, runner):
+        result = runner.invoke(main, ["minprob", "--law", "phi1", "--n", "16..8"])
+        assert result.exit_code == 2
+        assert "empty range" in result.output
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,count", [
@@ -145,6 +153,60 @@ class TestVerifyCommand:
         a = runner.invoke(main, args)
         b = runner.invoke(main, args)
         assert a.output == b.output
+
+    def test_zero_count_exits_2(self, runner):
+        result = runner.invoke(main, ["verify", "telescope", "--count", "0"])
+        assert result.exit_code == 2
+        assert "at least 1" in result.output
+
+    def test_zero_count_from_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 0}))
+        result = runner.invoke(main, ["--config", str(cfg), "verify", "chain"])
+        assert result.exit_code == 2
+        assert "at least 1" in result.output
+
+
+# Recorded while the suites still lived in the CLI module: per suite, count and
+# seed, the least margin, the first 16 hex digits of the SHA-256 of the
+# witness as sorted-key JSON, and the generator's next uniform draw (which
+# pins every draw the suite made, in order).
+SEEDED_SUITES = [
+    ("telescope", 100, 0, "0x0.0p+0", "5cbcf7504b07823e", "0x1.bee494948c350p-3"),
+    ("rearrange", 30, 0, "0x0.0p+0", "16b8764bf93fe67a", "0x1.78cafa63d531ap-1"),
+    ("chain", 20, 0, "0x0.0p+0", "fe32c91b9be986a5", "0x1.063ba02c924ffp-1"),
+    ("domination", 200, 0, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.461fd79fb3850p-1"),
+    ("telescope", 100, 7, "0x0.0p+0", "fd89b23730a0495e", "0x1.5e36f9b25eb8ap-2"),
+    ("rearrange", 30, 7, "0x0.0p+0", "139c2e193ae0289d", "0x1.e5bb7d1bd3eacp-2"),
+    ("chain", 20, 7, "0x0.0p+0", "41813095c6c9ab09", "0x1.0184c4cc78268p-3"),
+    ("domination", 200, 7, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.400c8353e3ca9p-1"),
+]
+
+SUITE_FUNCTIONS = {
+    "telescope": minprob.suite_telescope,
+    "rearrange": energy.suite_rearrange,
+    "chain": energy.suite_chain,
+    "domination": bounds.suite_domination,
+}
+
+
+@pytest.mark.parametrize("suite,count,seed,margin,witness,next_draw", SEEDED_SUITES)
+def test_seeded_suites_reproduce_recorded_output(runner, suite, count, seed, margin,
+                                                 witness, next_draw):
+    rng = np.random.default_rng(seed)
+    worst, found = SUITE_FUNCTIONS[suite](rng, count)
+    digest = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
+    assert (float.hex(worst), digest[:16], float.hex(rng.random())) == (
+        margin, witness, next_draw)
+    result = runner.invoke(main, ["--json", "verify", suite, "--count", str(count),
+                                  "--seed", str(seed)])
+    assert result.exit_code == 0
+    assert float.hex(json.loads(result.output)["min_margin"]) == margin
+
+
+def test_emit_rows_keeps_the_sign_of_infinity(capsys):
+    _emit_rows(["name", "min_margin"], [["a", -math.inf], ["b", math.inf]], as_json=False)
+    assert capsys.readouterr().out.splitlines() == ["name,min_margin", "a,-inf", "b,inf"]
 
 
 class TestBoundsCommand:
@@ -190,6 +252,17 @@ class TestEnergyCommand:
                                       "--u", str(path), "--deltas", "1.0"])
         assert result.exit_code == 0
         assert ",inf," in result.output
+
+    def test_step_sweep_single_delta_range_gives_one_row(self, runner, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(
+            {"breakpoints": [0.0, 1.0, 2.0], "values": [0.0, 0.05]}))
+        result = runner.invoke(main, ["energy", "step", "--law", "phi1",
+                                      "--u", str(path), "--deltas", "1e-1..1e-1"])
+        assert result.exit_code == 0
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("0.10000000000000001,")
 
     def test_pointwise_ratio_column(self, runner):
         result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",

@@ -416,3 +416,19 @@ class TestGeometricConstant:
         res = geometric_constant(d)
         assert res.method == "exact"
         assert res.value == pytest.approx(sphere * body, rel=1e-12)
+
+
+class TestChainMargin:
+    @pytest.mark.parametrize("bigger,smaller,expected", [
+        (math.inf, math.inf, 0.0),
+        (math.inf, 2.0, math.inf),
+        (2.0, math.inf, -math.inf),
+        (3.0, 3.0, 0.0),
+        (3.0, 1.0, 2.0),
+    ])
+    def test_divergence_convention(self, bigger, smaller, expected):
+        assert energy._chain_margin(bigger, smaller) == expected
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(energy._chain_margin(math.nan, 1.0))
+        assert math.isnan(energy._chain_margin(1.0, math.nan))

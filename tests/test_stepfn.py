@@ -9,6 +9,7 @@ from bvgamma.stepfn import (
     StepFunction,
     gaps,
     oscillation,
+    random_step_function,
     rearrange,
     segment,
     staircase_from_gaps,
@@ -219,3 +220,16 @@ def test_chain_pipeline_properties(u):
     assert all(abs(v - k * delta) < 1e-9 for v, k in zip(w.values, ks))
     assert min(w.values) >= delta * math.floor(-1.0 / delta) - 1e-9
     assert max(w.values) <= delta * math.floor(2.0 / delta) + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_step_function_levels_and_piece_counts(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        u = random_step_function(rng, 20, levels=7)
+        assert 2 <= len(u.values) <= 20
+        assert set(u.values) <= set(range(7))
+        v = random_step_function(rng, 10)
+        assert 2 <= len(v.values) <= 10
+        assert all(-3.0 <= x <= 3.0 for x in v.values)
+        assert u.breakpoints[0] >= 0.0 and u.breakpoints[-1] <= 10.0
