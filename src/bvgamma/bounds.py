@@ -63,10 +63,7 @@ class BoundReport:
 
 @lru_cache(maxsize=None)
 def _harmonic_fraction(n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(1, k)
-    return total
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 def harmonic_number(n: int, exact: bool = False):

@@ -36,7 +36,7 @@ __all__ = ["main", "parse_law_spec"]
 
 
 # ---------------------------------------------------------------------------
-# law spec mini-language
+# law spec mini-language and option types (click exits 2 on their ValueError)
 # ---------------------------------------------------------------------------
 
 def parse_law_spec(spec: str):
@@ -72,30 +72,35 @@ def parse_law_spec(spec: str):
     raise click.BadParameter(f"unknown law spec {spec!r}")
 
 
-def _parse_int_range(text: str) -> list:
+def int_range(text: str) -> list:
     """`8` or `8,12,16` or `2..16`; an empty or reversed range is an error."""
     text = text.strip()
     if ".." not in text:
         return [int(x) for x in text.split(",")]
-    a, b = text.split("..")
-    if int(b) < int(a):
-        raise click.BadParameter(f"empty range {text!r}")
-    return list(range(int(a), int(b) + 1))
+    a, b = (int(x) for x in text.split(".."))
+    if b < a:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(a, b + 1))
 
 
-def _parse_delta_sweep(text: str) -> list:
+def delta_sweep(text: str) -> list:
     """`1e-2` or comma list or `1e-1..1e-3` (half-decade log spacing).
 
-    A range keeps both of its endpoints; `a..a` is the single delta a.
+    Every delta must be finite and positive.  A range keeps both of its
+    endpoints; `a..a` is the single delta a.
     """
     text = text.strip()
-    if ".." in text:
-        a, b = (float(x) for x in text.split(".."))
-        if a == b:
-            return [a]
-        steps = max(1, round(2 * abs(math.log10(a / b))))
-        return [float(x) for x in np.geomspace(a, b, steps + 1)]
-    return [float(x) for x in text.split(",")]
+    sep = ".." if ".." in text else ","
+    deltas = [float(x) for x in text.split(sep)]
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError(f"deltas must be finite and positive, got {text!r}")
+    if sep == ",":
+        return deltas
+    a, b = deltas
+    if a == b:
+        return [a]
+    steps = max(1, round(2 * abs(math.log10(a / b))))
+    return [float(x) for x in np.geomspace(a, b, steps + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +205,14 @@ def cmd_law(ctx, spec_text, report, probe):
 
 @main.command("minprob")
 @click.option("--law", "spec_text", required=True)
-@click.option("--n", "n_text", required=True, help="Single n, comma list, or a..b.")
+@click.option("--n", "ns", required=True, type=int_range, help="Single n, comma list, or a..b.")
 @click.option("--starts", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--dump-minimizer", is_flag=True)
 @click.pass_context
-def cmd_minprob(ctx, spec_text, n_text, starts, seed, dump_minimizer):
+def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     """Minimize the weighted log-cost objective over length tuples."""
     law = parse_law_spec(spec_text)
-    ns = _parse_int_range(n_text)
     starts = int(_cfg(ctx, "starts", starts, 64))
     seed = int(_cfg(ctx, "seed", seed, 0))
 
@@ -251,6 +255,8 @@ def cmd_verify(ctx, suite, count, seed, tolerance):
         raise click.BadParameter(f"must be at least 1, got {count}", param_hint="--count")
     seed = int(_cfg(ctx, "seed", seed, 0))
     tolerance = float(_cfg(ctx, "tolerance", tolerance, 1e-10))
+    if math.isnan(tolerance):
+        raise click.BadParameter("must be a number, got nan", param_hint="--tolerance")
     rng = np.random.default_rng(seed)
     worst, witness = _SUITES[suite](rng, count)
     doc = {"suite": suite, "count": count, "seed": seed, "min_margin": worst}
@@ -290,11 +296,10 @@ def _emit_reports(ctx, build):
 
 
 @cmd_bounds.command("psi")
-@click.option("--m", "m_text", default="1..12", show_default=True)
+@click.option("--m", "ms", default="1..12", show_default=True, type=int_range)
 @click.pass_context
-def bounds_psi(ctx, m_text):
+def bounds_psi(ctx, ms):
     """Bounds for the full-package laws over a range of depths."""
-    ms = _parse_int_range(m_text)
     _emit_reports(ctx, lambda: [bounds_mod.psi_bound(m) for m in ms])
 
 
@@ -372,16 +377,18 @@ def cmd_energy():
 @click.option("--law", "spec_text", required=True)
 @click.option("--u", "profile", type=click.Choice(sorted(_SMOOTH_PROFILES)),
               default="bump", show_default=True)
-@click.option("--deltas", default="1e-1..1e-3", show_default=True)
+@click.option("--deltas", default="1e-1..1e-3", show_default=True, type=delta_sweep)
 @click.option("--tol", type=float, default=1e-3, show_default=True)
 @click.pass_context
 def energy_pointwise(ctx, spec_text, profile, deltas, tol):
     """Sweep the quadrature energy of a smooth profile over delta."""
+    if not 0 < tol < math.inf:
+        raise click.BadParameter(f"must be finite and positive, got {tol}", param_hint="--tol")
     law = parse_law_spec(spec_text)
     func, tv = _SMOOTH_PROFILES[profile]
     scale = 2.0 * law.scale_factor() * tv
     rows = []
-    for delta in _parse_delta_sweep(deltas):
+    for delta in deltas:
         res = energy_mod.lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
         rows.append([delta, res.value, res.method, res.error_estimate,
                      res.value / scale])
@@ -393,18 +400,21 @@ def energy_pointwise(ctx, spec_text, profile, deltas, tol):
 @click.option("--law", "spec_text", required=True)
 @click.option("--u", "u_path", required=True, type=click.Path(exists=True),
               help="Step function as JSON or CSV.")
-@click.option("--deltas", default="1e-1..1e-3", show_default=True)
+@click.option("--deltas", default="1e-1..1e-3", show_default=True, type=delta_sweep)
 @click.pass_context
 def energy_step(ctx, spec_text, u_path, deltas):
     """Sweep the exact step-function energy over delta."""
     law = parse_law_spec(spec_text)
-    if u_path.endswith(".csv"):
-        u = StepFunction.from_csv(u_path)
-    else:
-        with open(u_path) as fh:
-            u = StepFunction.from_json(json.load(fh))
+    try:
+        if u_path.endswith(".csv"):
+            u = StepFunction.from_csv(u_path)
+        else:
+            with open(u_path) as fh:
+                u = StepFunction.from_json(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.BadParameter(f"cannot read a step function: {exc}", param_hint="--u")
     rows = []
-    for delta in _parse_delta_sweep(deltas):
+    for delta in deltas:
         res = energy_mod.lambda_step(law, u, delta)
         rows.append([delta, res.value, res.method, res.error_estimate])
     _emit_rows(["delta", "value", "method", "error_estimate"], rows, ctx.obj["json"])

@@ -242,14 +242,12 @@ def _inner_integral(law, w: np.ndarray, h: float, delta: float, items) -> float:
     return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
 
 
-def _shift_indices(n: int) -> np.ndarray:
-    """Every shift up to 64, then a geometric grid of ratio 1.005 up to n."""
-    js = list(range(1, min(64, n) + 1))
-    j = js[-1]
-    while j < n:
-        j = max(j + 1, int(j * 1.005))
-        js.append(min(j, n))
-    return np.unique(np.asarray(js, dtype=int))
+def _shift_indices(n: int, tol: float) -> np.ndarray:
+    """Shifts 1 to n, geometric of ratio 1 + sqrt(tol)/2 (squared step tol/4), steps >= 1."""
+    ratio, js = 1.0 + math.sqrt(tol) / 2, [1]
+    while js[-1] < n:
+        js.append(min(n, max(js[-1] + 1, int(js[-1] * ratio))))
+    return np.asarray(js)
 
 
 def _halving_differences(s: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -268,12 +266,12 @@ def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
                          tol: float) -> tuple:
     """Energy on one sampling grid, and the error estimate of its shift quadrature.
 
-    The outer integral runs over a geometric grid of integer shifts, and its
-    error is estimated by the trapezoid on every other node.  While that
-    estimate exceeds a quarter of ``tol`` (relative), the node pairs carrying
-    more than their share of it are bisected, down to single shifts.  The
-    global ratio stays fixed: a jump of the integrand needs fine cells at one
-    place only.
+    The outer integral runs over a geometric grid of integer shifts of ratio
+    1 + sqrt(tol)/2, and its error is estimated by the trapezoid on every
+    other node.  While that estimate exceeds a quarter of ``tol`` (relative),
+    the node pairs carrying more than their share of it are bisected, down to
+    single shifts.  The global ratio stays fixed: a jump of the integrand
+    needs fine cells at one place only.
     """
     items = getattr(law, "steps", None)
     n = len(samples)
@@ -286,7 +284,7 @@ def _lambda_quad_on_grid(law, samples: np.ndarray, h: float, delta: float,
                             h, delta, items) * delta / (j * h) ** 2 for j in js])
 
     # the integrand vanishes (or is negligibly small) below the first shift
-    js = _shift_indices(n - 1)
+    js = _shift_indices(n - 1, tol)
     fvals = integrand(js)
     while True:
         val = 2.0 * float(np.trapezoid(fvals, js * h))
@@ -310,15 +308,17 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     ``u`` must be callable on numpy arrays and Lipschitz on the interval.  The
     error estimate adds two parts: the inner-grid doubling (the change from
     the previous grid, which has half as many points) and the outer shift
-    quadrature on the current grid (trapezoid on all shift nodes against
-    trapezoid on every other node).  The grid is refined until that sum is
-    within ``tol`` (relative); refinement past 2^21 grid points raises
-    RuntimeError.
+    quadrature on the current grid (trapezoid on shift nodes of ratio
+    1 + sqrt(tol)/2 against trapezoid on every other node).  The grid is
+    refined until that sum is within ``tol`` (relative, finite and > 0);
+    refinement past 2^21 grid points raises RuntimeError.
     """
     max_grid = 1 << 21
     a, b = interval
     if not a < b:
         raise ValueError("empty interval")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     # resolve the transition distance delta/Lip with plenty of headroom
     xg = np.linspace(a, b, 4097)
     lip = float(np.max(np.abs(np.diff(u(xg)))) / ((b - a) / 4096))

@@ -166,16 +166,9 @@ def transition_abscissae(u: StepFunction, delta: float) -> tuple:
     if not u.is_nondecreasing():
         raise ValueError("transition abscissae need a nondecreasing function")
     ks = level_indices(u, delta)
-    rise = ks[-1] - ks[0]
-    xs = [u.breakpoints[0]]
-    for i in range(1, rise + 1):
-        target = ks[0] + i
-        # first piece at or above the target level starts at the transition
-        for p, k in enumerate(ks):
-            if k >= target:
-                xs.append(u.breakpoints[p])
-                break
-    return tuple(xs)
+    # the first piece at or above each level starts at its transition
+    firsts = np.searchsorted(ks, np.arange(ks[0] + 1, ks[-1] + 1))
+    return (u.breakpoints[0],) + tuple(u.breakpoints[p] for p in firsts)
 
 
 def gaps(u: StepFunction, delta: float) -> tuple:

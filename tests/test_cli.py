@@ -137,6 +137,11 @@ class TestMinprobCommand:
         assert result.exit_code == 2
         assert "empty range" in result.output
 
+    def test_non_integer_n_exits_2(self, runner):
+        result = runner.invoke(main, ["minprob", "--law", "phi1", "--n", "abc"])
+        assert result.exit_code == 2
+        assert "--n" in result.output and "abc" in result.output
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,count", [
@@ -165,6 +170,19 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["--config", str(cfg), "verify", "chain"])
         assert result.exit_code == 2
         assert "at least 1" in result.output
+
+    def test_nan_tolerance_exits_2(self, runner):
+        result = runner.invoke(main, ["verify", "telescope", "--count", "5",
+                                      "--tolerance", "nan"])
+        assert result.exit_code == 2
+        assert "--tolerance" in result.output and "nan" in result.output
+
+    def test_nan_tolerance_from_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 5, "tolerance": math.nan}))
+        result = runner.invoke(main, ["--config", str(cfg), "verify", "telescope"])
+        assert result.exit_code == 2
+        assert "--tolerance" in result.output and "nan" in result.output
 
 
 # Recorded while the suites still lived in the CLI module: per suite, count and
@@ -263,6 +281,28 @@ class TestEnergyCommand:
         lines = result.output.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0.10000000000000001,")
+
+    def test_step_non_json_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text("not json")
+        result = runner.invoke(main, ["energy", "step", "--law", "phi1",
+                                      "--u", str(path)])
+        assert result.exit_code == 2
+        assert "--u" in result.output
+
+    @pytest.mark.parametrize("deltas", ["0..1e-3", "0", "1e-2,-1e-3", "1e-1..inf"])
+    def test_pointwise_non_positive_delta_exits_2(self, runner, deltas):
+        result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",
+                                      "--deltas", deltas])
+        assert result.exit_code == 2
+        assert "--deltas" in result.output and "positive" in result.output
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_pointwise_bad_tol_exits_2(self, runner, tol):
+        result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",
+                                      "--tol", tol])
+        assert result.exit_code == 2
+        assert "--tol" in result.output and "positive" in result.output
 
     def test_pointwise_ratio_column(self, runner):
         result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",

@@ -392,6 +392,57 @@ class TestLambdaQuadLinear:
         assert res.error_estimate <= tol * max(1.0, abs(res.value))
 
 
+def _shift_indices_ratio_1005(n, tol=None):
+    """The fixed shift grid used for every tol before the grid was sized by tol."""
+    js = list(range(1, min(64, n) + 1))
+    j = js[-1]
+    while j < n:
+        j = max(j + 1, int(j * 1.005))
+        js.append(min(j, n))
+    return np.unique(np.asarray(js, dtype=int))
+
+
+class TestShiftIndices:
+    """The outer shift grid has ratio 1 + sqrt(tol)/2, which is 1.005 at tol = 1e-4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 8191, 8192, 131071, 131072,
+                                   (1 << 21) - 1, 1 << 21])
+    def test_tol_1e4_gives_the_fixed_grid(self, n):
+        got = energy._shift_indices(n, 1e-4)
+        want = _shift_indices_ratio_1005(n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("n", [1, 2, 100, 8192, 131072])
+    def test_nodes_cover_every_shift_range(self, tol, n):
+        js = energy._shift_indices(n, tol)
+        ratio = 1.0 + math.sqrt(tol) / 2
+        assert js[0] == 1 and js[-1] == n
+        steps = np.diff(js)
+        assert np.all(steps > 0)
+        assert np.all(steps <= np.maximum(1.0, (ratio - 1.0) * js[:-1]))
+
+    @pytest.mark.parametrize("law", [ModelLaw(1), AffineThetaLaw()])
+    @pytest.mark.parametrize("delta", [0.1, 0.01])
+    def test_agrees_with_fixed_grid_within_estimates(self, monkeypatch, law, delta):
+        got = lambda_quad(law, _bump, (0.0, 1.0), delta)
+        monkeypatch.setattr(energy, "_shift_indices", _shift_indices_ratio_1005)
+        want = lambda_quad(law, _bump, (0.0, 1.0), delta)
+        assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate
+
+    def test_tol_1e4_result_is_bit_identical(self, monkeypatch):
+        got = lambda_quad(AffineThetaLaw(), _bump, (0.0, 1.0), 0.1, tol=1e-4)
+        monkeypatch.setattr(energy, "_shift_indices", _shift_indices_ratio_1005)
+        want = lambda_quad(AffineThetaLaw(), _bump, (0.0, 1.0), 0.1, tol=1e-4)
+        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            lambda_quad(ModelLaw(1), _linear, (0.0, 1.0), 0.1, tol=tol)
+
+
 class TestGeometricConstant:
     def test_exact_dimensions(self):
         assert geometric_constant(1).value == 2.0

@@ -209,6 +209,24 @@ class TestGaps:
         assert xs[0] == 2.0
         assert xs == (2.0, 2.5, 4.0)
 
+    def test_transition_abscissae_match_piece_scan(self):
+        # the per-level scan for the first piece at or above the level
+        def scan(u, delta):
+            ks = [round(v / delta) for v in u.values]
+            xs = [u.breakpoints[0]]
+            for target in range(ks[0] + 1, ks[-1] + 1):
+                xs.append(next(x for x, k in zip(u.breakpoints, ks) if k >= target))
+            return tuple(xs)
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            delta = float(rng.choice([0.25, 1.0, 0.05]))
+            levels = np.cumsum(rng.integers(0, 4, size=n)) - int(rng.integers(0, 5))
+            bp = np.cumsum(np.concatenate([[rng.uniform(-2.0, 2.0)], rng.uniform(0.1, 2.0, n)]))
+            u = StepFunction(tuple(bp), tuple(delta * levels))
+            assert transition_abscissae(u, delta) == scan(u, delta)
+
 
 @given(step_functions)
 @settings(max_examples=100, deadline=None)
