@@ -33,14 +33,11 @@ from .stepfn import (
 )
 from .energy import (
     EnergyResult,
-    HostilityKernel,
     geometric_constant,
     hostility,
-    inverse_square_kernel,
     lambda_quad,
     lambda_step,
     lambda_strip,
-    rect_interaction,
 )
 from .minprob import (
     MinProblem,

@@ -17,18 +17,15 @@ from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw
 from .minprob import in_domain, log_cost
 from .stepfn import (
     StepFunction,
+    gaps,
     random_step_function,
     rearrange,
     segment,
-    transition_abscissae,
     truncate,
 )
 
 __all__ = [
     "EnergyResult",
-    "HostilityKernel",
-    "inverse_square_kernel",
-    "rect_interaction",
     "hostility",
     "lambda_step",
     "lambda_strip",
@@ -46,51 +43,26 @@ class EnergyResult:
     error_estimate: float = 0.0
 
 
-@dataclass(frozen=True)
-class HostilityKernel:
-    """Pair-distance kernel delta/sigma^2.
-
-    It admits closed-form integrals over pairs of intervals and is
-    non-integrable at 0.
-    """
-
-    inverse_square_delta: float
+def _snap_to_integer(t: np.ndarray) -> np.ndarray:
+    """Snap near-integer jump ratios so lattice staircases hit thresholds exactly."""
+    r = np.round(t)
+    return np.where(np.abs(t - r) <= 1e-9 * np.maximum(1.0, np.abs(t)), r, t)
 
 
-def inverse_square_kernel(delta: float) -> HostilityKernel:
-    return HostilityKernel(inverse_square_delta=float(delta))
+def _pair_energy(breakpoints, values, law, delta) -> float:
+    """Sum over piece pairs i < j of law(|v_j - v_i| / delta) times the pair integral.
 
-
-def rect_interaction(left, right, delta: float) -> EnergyResult:
-    """Kernel integral delta * int_I int_J (y-x)^(-2) for disjoint intervals.
-
-    ``left`` must lie to the left of ``right``; touching intervals give +inf.
-    """
-    a1, a2 = left
-    b1, b2 = right
-    if not (a1 < a2 and b1 < b2):
-        raise ValueError("degenerate interval")
-    if a2 > b1:
-        raise ValueError("intervals must have disjoint interiors, left first")
-    if a2 == b1:
-        return EnergyResult(math.inf, "exact")
-    value = delta * math.log((b1 - a1) * (b2 - a2) / ((b1 - a2) * (b2 - a1)))
-    return EnergyResult(value, "exact")
-
-
-def _pair_energy(breakpoints, values, weight, delta) -> float:
-    """Sum over piece pairs i < j of 2 * delta * weight * log of the pair-integral ratio.
-
-    ``weight`` maps the value differences |v_j - v_i| of one row i to pair
-    weights.  The sum is +inf when an adjacent pair has positive weight (the
-    diagonal contact is then non-integrable).  Rows are taken one at a time,
-    so memory stays linear in the number of pieces.
+    For pieces (a1, a2) left of (b1, b2), the kernel integral over both orders
+    is 2 * delta * log((b1-a1)(b2-a2) / ((b1-a2)(b2-a1))).  The sum is +inf
+    when an adjacent pair has positive weight (the diagonal contact is then
+    non-integrable).  Rows are taken one at a time, so memory stays linear in
+    the number of pieces.
     """
     bp = np.asarray(breakpoints, dtype=float)
     vs = np.asarray(values, dtype=float)
     total = 0.0
     for i in range(len(vs) - 1):
-        w = weight(np.abs(vs[i + 1:] - vs[i]))
+        w = law(_snap_to_integer(np.abs(vs[i + 1:] - vs[i]) / delta))
         if w[0] > 0:
             return math.inf
         # pieces j >= i + 2: (x_j, x_{j+1}) against (x_i, x_{i+1})
@@ -100,26 +72,19 @@ def _pair_energy(breakpoints, values, weight, delta) -> float:
     return 2.0 * delta * total
 
 
-def hostility(kernel: HostilityKernel, u: StepFunction, k: int) -> EnergyResult:
+def hostility(delta: float, u: StepFunction, k: int) -> EnergyResult:
     """Total pair energy over pairs of pieces whose values differ by more than k.
 
+    This is delta times the energy of the step law ModelLaw(k) at delta = 1;
     ``u`` must be integer valued.
     """
-    if k < 1:
-        raise ValueError("threshold k must be a positive integer")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     vals = np.asarray(u.values)
     levels = np.round(vals)
     if np.any(np.abs(vals - levels) > 1e-9 * np.maximum(1.0, np.abs(vals))):
         raise ValueError("hostility needs an integer-valued arrangement")
-    value = _pair_energy(u.breakpoints, levels, lambda d: d > k,
-                         kernel.inverse_square_delta)
-    return EnergyResult(value, "exact")
-
-
-def _snap_to_integer(t: np.ndarray) -> np.ndarray:
-    """Snap near-integer jump ratios so lattice staircases hit thresholds exactly."""
-    r = np.round(t)
-    return np.where(np.abs(t - r) <= 1e-9 * np.maximum(1.0, np.abs(t)), r, t)
+    return EnergyResult(delta * _pair_energy(u.breakpoints, levels, ModelLaw(k), 1.0), "exact")
 
 
 def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyResult:
@@ -130,9 +95,7 @@ def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyRes
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    value = _pair_energy(u.breakpoints, u.values,
-                         lambda d: law(_snap_to_integer(d / delta)), delta)
-    return EnergyResult(value, "exact")
+    return EnergyResult(_pair_energy(u.breakpoints, u.values, law, delta), "exact")
 
 
 def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
@@ -147,7 +110,7 @@ def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
     steps = getattr(law, "steps", None)
     if steps is None:
         raise TypeError("expected a piecewise-constant interaction law")
-    lengths = np.diff(transition_abscissae(u, delta))
+    lengths = gaps(u, delta)
     active = [(k, w) for k, w in steps if k + 1 <= len(lengths)]
     if active and not in_domain(lengths, active[0][0]):
         return EnergyResult(math.inf, "exact")
@@ -161,13 +124,12 @@ def _chain_margin(bigger: float, smaller: float) -> float:
 
 def suite_rearrange(rng, count: int) -> tuple:
     """Least hostility loss under rearrangement over ``count`` random arrangements."""
-    kernel = inverse_square_kernel(1.0)
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 20, levels=7)
         k = int(rng.integers(1, 6))
-        f_u = hostility(kernel, u, k).value
-        f_mu = hostility(kernel, rearrange(u), k).value
+        f_u = hostility(1.0, u, k).value
+        f_mu = hostility(1.0, rearrange(u), k).value
         margin = _chain_margin(f_u, f_mu)
         if margin < worst:
             worst = margin

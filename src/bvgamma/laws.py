@@ -270,10 +270,6 @@ class DyadicAffineLaw(InteractionLaw):
     def upper_bound(self) -> float:
         return self.nodes[-1][1]
 
-    def quadratic_decay_witness(self) -> float:
-        """Largest seq(z) * 4^(-z) over the provided nodes (finite by fill rule)."""
-        return max(v * 4.0 ** (-z) for z, v in self.nodes if v > 0)
-
 
 @dataclass(frozen=True)
 class ScaledLaw(InteractionLaw):

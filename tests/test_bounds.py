@@ -112,11 +112,6 @@ class TestZetaBound:
         oracle = body + 2.5 / 8.0
         assert rep.scale_factor == pytest.approx(oracle, rel=1e-8)
 
-    def test_decay_witness_finite(self):
-        law = DyadicAffineLaw(nodes=tuple(
-            (z, min(1.0, 4.0 ** z)) for z in range(-6, 2)))
-        assert law.quadratic_decay_witness() <= 1.0 + 1e-12
-
 
 class TestGammaLiminfFactor:
     def test_phi1_is_log2(self):

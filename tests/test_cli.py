@@ -142,6 +142,16 @@ class TestMinprobCommand:
         assert result.exit_code == 2
         assert "--n" in result.output and "abc" in result.output
 
+    def test_json_minimizer_dump(self, runner):
+        result = runner.invoke(main, ["--json", "minprob", "--law", "phi1", "--n", "8",
+                                      "--starts", "0", "--dump-minimizer"])
+        assert result.exit_code == 0
+        [row] = json.loads(result.output)
+        lengths = json.loads(row["minimizer"])
+        assert len(lengths) == 8 and min(lengths) >= 0.0
+        assert math.fsum(lengths) == pytest.approx(1.0, abs=1e-12)
+        assert minprob.log_cost(lengths, 1) == pytest.approx(row["value"], rel=1e-12)
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,count", [
@@ -252,6 +262,22 @@ class TestBoundsCommand:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["c2_exact"] == "6/11"
+
+    def test_factor_text(self, runner):
+        result = runner.invoke(main, ["bounds", "factor", "--law", "psi:2",
+                                      "--n-max", "8", "--starts", "0"])
+        assert result.exit_code == 0
+        assert result.output.startswith("factor=")
+        line = next(l for l in result.output.splitlines()
+                    if l.strip().startswith("package-telescopic-bound:"))
+        assert float(line.split(":")[1]) == pytest.approx(2 * math.log(2), abs=1e-15)
+
+    def test_factor_json(self, runner):
+        result = runner.invoke(main, ["--json", "bounds", "factor", "--law", "psi:2",
+                                      "--n-max", "8", "--starts", "0"])
+        assert result.exit_code == 0
+        chain = dict(json.loads(result.output)["chain"])
+        assert chain["package-telescopic-bound"] == pytest.approx(2 * math.log(2), abs=1e-15)
 
 
 class TestEnergyCommand:

@@ -9,11 +9,9 @@ from bvgamma.energy import (
     _measure_above,
     geometric_constant,
     hostility,
-    inverse_square_kernel,
     lambda_quad,
     lambda_step,
     lambda_strip,
-    rect_interaction,
 )
 from bvgamma.laws import (
     AffineThetaLaw,
@@ -32,50 +30,40 @@ from bvgamma.stepfn import (
 )
 
 
-class TestRectInteraction:
-    def test_against_2d_quadrature(self):
-        oracle, _ = integrate.dblquad(
-            lambda y, x: (y - x) ** -2, 0.0, 1.0, lambda x: 2.0, lambda x: 3.0)
-        res = rect_interaction((0, 1), (2, 3), 1.0)
-        assert res.value == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
-        assert res.value == pytest.approx(oracle, rel=1e-9)
-
-    def test_adjacent_diverges(self):
-        assert rect_interaction((0, 1), (1, 2), 1.0).value == math.inf
-
-    def test_linear_in_delta(self):
-        v1 = rect_interaction((0, 1), (2, 3), 1.0).value
-        v2 = rect_interaction((0, 1), (2, 3), 2.0).value
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            rect_interaction((0, 2), (1, 3), 1.0)
-
-
 class TestHostility:
     def test_constant_is_zero(self):
         u = StepFunction((0, 1, 2), (3.0, 3.0))
-        assert hostility(inverse_square_kernel(1.0), u, 1).value == 0.0
+        assert hostility(1.0, u, 1).value == 0.0
 
     def test_two_piece_example(self):
         u = StepFunction((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0))
         # only the outer pair (values 0 and 2) exceeds k=1
-        res = hostility(inverse_square_kernel(1.0), u, 1)
+        res = hostility(1.0, u, 1)
         assert res.value == pytest.approx(2.0 * math.log(4.0 / 3.0), rel=1e-12)
 
     def test_adjacent_divergence(self):
         u = StepFunction((0, 1, 2), (0.0, 2.0))
-        assert hostility(inverse_square_kernel(1.0), u, 1).value == math.inf
+        assert hostility(1.0, u, 1).value == math.inf
 
     def test_rejects_non_integer(self):
         u = StepFunction((0, 1, 2), (0.0, 0.5))
         with pytest.raises(ValueError):
-            hostility(inverse_square_kernel(1.0), u, 1)
+            hostility(1.0, u, 1)
+
+    def test_rejects_threshold_below_one(self):
+        u = StepFunction((0, 1, 2), (0.0, 1.0))
+        with pytest.raises(ValueError):
+            hostility(1.0, u, 0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_delta(self, delta):
+        # 0 * inf would turn a divergent arrangement into NaN
+        u = StepFunction((0, 1, 2), (0.0, 2.0))
+        with pytest.raises(ValueError, match="delta"):
+            hostility(delta, u, 1)
 
     def test_rearrangement_never_increases(self):
         rng = np.random.default_rng(11)
-        kernel = inverse_square_kernel(1.0)
         for _ in range(200):
             n = int(rng.integers(2, 12))
             bp = np.sort(rng.uniform(0, 10, n + 1))
@@ -83,8 +71,8 @@ class TestHostility:
                 continue
             u = StepFunction(tuple(bp), tuple(rng.integers(0, 7, n).astype(float)))
             k = int(rng.integers(1, 6))
-            fu = hostility(kernel, u, k).value
-            fm = hostility(kernel, rearrange(u), k).value
+            fu = hostility(1.0, u, k).value
+            fm = hostility(1.0, rearrange(u), k).value
             if math.isinf(fm):
                 assert math.isinf(fu)
             elif not math.isinf(fu):
@@ -99,6 +87,20 @@ class TestLambdaStep:
     def test_adjacent_double_jump_diverges(self):
         u = StepFunction((0, 1, 2), (0.0, 2.0))
         assert lambda_step(ModelLaw(1), u, 1.0).value == math.inf
+
+    def test_against_2d_quadrature(self):
+        # values 0, delta, 2*delta: only the outer pair jumps by more than delta
+        oracle, _ = integrate.dblquad(
+            lambda y, x: (y - x) ** -2, 0.0, 1.0, lambda x: 2.0, lambda x: 3.0)
+        for delta in (1.0, 2.0):
+            u = StepFunction((0.0, 1.0, 2.0, 3.0), (0.0, delta, 2.0 * delta))
+            value = lambda_step(ModelLaw(1), u, delta).value
+            assert value == pytest.approx(2.0 * delta * oracle, rel=1e-9)
+
+    def test_rejects_nonpositive_delta(self):
+        u = StepFunction((0, 1, 2), (0.0, 1.0))
+        with pytest.raises(ValueError):
+            lambda_step(ModelLaw(1), u, 0.0)
 
     def test_linearity_in_the_law(self):
         u = StepFunction((0.0, 1.0, 2.5, 4.0), (0.0, 2.0, 5.0))
@@ -123,11 +125,8 @@ class TestLambdaStep:
             ud = StepFunction(tuple(bp), tuple(levels * delta))
             k = int(rng.integers(1, 4))
             v1 = lambda_step(ModelLaw(k), ud, delta).value
-            v2 = hostility(inverse_square_kernel(delta), u, k).value
-            if math.isinf(v1) or math.isinf(v2):
-                assert math.isinf(v1) == math.isinf(v2)
-            else:
-                assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+            v2 = hostility(delta, u, k).value
+            assert v1 == v2
 
 
 def _lambda_step_double_loop(law, u, delta):
@@ -297,6 +296,11 @@ class TestLambdaQuad:
         vals = [lambda_quad(ModelLaw(1), lambda x: np.asarray(x, dtype=float),
                             (0.0, 1.0), d).value for d in (0.2, 0.1, 0.05)]
         assert vals[0] < vals[1] < vals[2] < 2.0
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, 0.0)])
+    def test_rejects_empty_interval(self, interval):
+        with pytest.raises(ValueError, match="empty interval"):
+            lambda_quad(ModelLaw(1), lambda x: np.asarray(x, dtype=float), interval, 0.1)
 
 
 def _measure_above_full_array(w, h, threshold):
