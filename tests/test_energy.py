@@ -30,6 +30,29 @@ from bvgamma.stepfn import (
 )
 
 
+class TestRectInteraction:
+    """The interaction of the unit squares [0,1] and [2,3], read off lambda_step.
+
+    Values 0, delta, 2*delta: only the outer pair jumps by more than delta, so
+    the energy is 2 * delta * int_0^1 int_2^3 (y - x)^-2 dy dx.
+    """
+
+    @staticmethod
+    def _energy(delta):
+        u = StepFunction((0.0, 1.0, 2.0, 3.0), (0.0, delta, 2.0 * delta))
+        return lambda_step(ModelLaw(1), u, delta).value
+
+    def test_against_2d_quadrature(self):
+        oracle, _ = integrate.dblquad(
+            lambda y, x: (y - x) ** -2, 0.0, 1.0, lambda x: 2.0, lambda x: 3.0)
+        value = self._energy(1.0)
+        assert value == pytest.approx(2.0 * math.log(4.0 / 3.0), abs=1e-12)
+        assert value == pytest.approx(2.0 * oracle, rel=1e-9)
+
+    def test_linear_in_delta(self):
+        assert self._energy(2.0) == pytest.approx(2.0 * self._energy(1.0), rel=1e-14)
+
+
 class TestHostility:
     def test_constant_is_zero(self):
         u = StepFunction((0, 1, 2), (3.0, 3.0))
@@ -87,15 +110,6 @@ class TestLambdaStep:
     def test_adjacent_double_jump_diverges(self):
         u = StepFunction((0, 1, 2), (0.0, 2.0))
         assert lambda_step(ModelLaw(1), u, 1.0).value == math.inf
-
-    def test_against_2d_quadrature(self):
-        # values 0, delta, 2*delta: only the outer pair jumps by more than delta
-        oracle, _ = integrate.dblquad(
-            lambda y, x: (y - x) ** -2, 0.0, 1.0, lambda x: 2.0, lambda x: 3.0)
-        for delta in (1.0, 2.0):
-            u = StepFunction((0.0, 1.0, 2.0, 3.0), (0.0, delta, 2.0 * delta))
-            value = lambda_step(ModelLaw(1), u, delta).value
-            assert value == pytest.approx(2.0 * delta * oracle, rel=1e-9)
 
     def test_rejects_nonpositive_delta(self):
         u = StepFunction((0, 1, 2), (0.0, 1.0))
