@@ -7,6 +7,7 @@ tuples without too many consecutive zeros drives the shape-factor bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -211,11 +212,12 @@ class MinProblem:
 
 @dataclass
 class MinResult:
-    value: float
+    value: float           # objective of the minimizer below
     minimizer: np.ndarray  # normalized to unit sum
     starts: int
     winning_seed: str      # e.g. "period-3", "smooth-start-17"
     traces: list = field(default_factory=list)  # (seed tag, [objective per iteration])
+    certified: str | None = None  # the lower bound the value attains, if exact
 
     def to_json(self) -> dict:
         """JSON view; each trace keeps its first 20 iterations."""
@@ -224,6 +226,7 @@ class MinResult:
             "minimizer": [float(x) for x in self.minimizer],
             "starts": self.starts,
             "winning_seed": self.winning_seed,
+            "certified": self.certified,
             "traces": [
                 {"seed": tag, "objective": [float(v) for v in vals[:20]]}
                 for tag, vals in self.traces
@@ -237,7 +240,6 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
     from scipy.optimize import minimize as scipy_minimize
 
     support = np.flatnonzero(start > 0)
-    base = np.array(start, dtype=float)
 
     def split(s):
         full = np.zeros(problem.n)
@@ -255,14 +257,15 @@ def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
     def record(intermediate_result):
         trace.append(intermediate_result.fun)
 
-    s0 = np.log(base[support])
+    s0 = np.log(start[support])
     res = scipy_minimize(
         fun, s0, jac=True, method="L-BFGS-B", callback=record,
         options={"maxiter": 1000, "gtol": 1e-13, "ftol": 1e-16},
     )
     best = split(res.x)
+    best /= best.sum()
     # res.fun can differ from the cost of res.x; report the cost of the minimizer returned
-    return float(problem.objective(best)), best / best.sum()
+    return float(problem.objective(best)), best
 
 
 def _pattern_seeds(problem: MinProblem):
@@ -280,47 +283,54 @@ def _pattern_seeds(problem: MinProblem):
             yield f"period-{period}" + (f"+{phase}" if phase else ""), seed
 
 
-def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
-    """Best objective value found by pattern seeds plus multi-start descent.
+def _certified_minimum(problem: MinProblem):
+    """(minimum, attaining pattern) of w*phi_k for k <= 5 and n = m*k, else None.
 
-    The returned value is an upper bound for the infimum; the certificate is
-    the normalized minimizer itself.
+    The minimum is w*(m - 1)*log 4.  With S_{i,j} = l_i + ... + l_{i+j-1} and
+    block sums B_j = S_{jk,k}, the block identity prod_{r<k} S_{r,k+1} >=
+    S_{0,2k} * prod_{1<=r<k} S_{r,k} holds for nonnegative entries: expanded,
+    the left side minus the right has nonnegative coefficients (it is 0 for
+    k = 1; criterion 2's docstring writes out k = 3; the tests expand k = 2..5).
+    On l_{jk..jk+2k-1} it bounds the terms i = jk..jk+k-1 of log_cost(l, k)
+    below by 2 log(B_j + B_{j+1}) - log B_j - log B_{j+1}.  Summed over j < m-1,
+    log_cost(l, k) >= log_cost(B, 1) >= (m - 1)*log 4 by AM-GM.  The period-k
+    pattern (1, 0, ..., 0) attains it, as its window sums are all 1 or 2.
     """
+    (k, w), *rest = problem.law.steps
+    if rest or k > 5 or problem.n % k:
+        return None
+    pattern = np.zeros(problem.n)
+    pattern[::k] = 1.0
+    return float(w) * (problem.n // k - 1) * math.log(4.0), pattern
+
+
+def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
+    """Least objective value over pattern seeds and multi-start descent.
+
+    A law with a certified minimum (``_certified_minimum``) returns its
+    attaining pattern at once, unpolished, and the value is exact.  Otherwise
+    every pattern seed and ``starts`` lognormal starts are polished by
+    L-BFGS-B, and the value is an upper bound for the infimum.
+    """
+    certificate = _certified_minimum(problem)
+    if certificate is not None:
+        pattern = certificate[1] / certificate[1].sum()
+        value, tag = problem.objective(pattern), f"period-{problem.min_index}"
+        return MinResult(value, pattern, starts=1, winning_seed=tag, traces=[(tag, [value])],
+                         certified="block-sum AM-GM bound")
+
     rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_arg = None
-    best_tag = None
+    smooth = ((f"smooth-start-{s}", rng.lognormal(mean=0.0, sigma=1.0, size=problem.n))
+              for s in range(starts))
+    best_val, best_arg, best_tag = math.inf, None, None
     traces = []
-    n_starts = 0
-
-    def consider(tag, val, arg, trace):
-        nonlocal best_val, best_arg, best_tag
-        traces.append((tag, trace))
-        tol = 1e-12 * max(1.0, abs(val))
-        if val < best_val - tol:
-            best_val, best_arg, best_tag = val, arg, tag
-        elif val <= best_val + tol and best_arg is not None:
-            # tie: prefer the sparser certificate (exact zeros are informative)
-            if np.count_nonzero(arg) < np.count_nonzero(best_arg):
-                best_val, best_arg, best_tag = val, arg, tag
-
-    for tag, pattern in _pattern_seeds(problem):
-        n_starts += 1
-        trace = [problem.objective(pattern)]
-        val, arg = _polish(problem, pattern, trace)
-        consider(tag, val, arg, trace)
-
-    for s in range(starts):
-        n_starts += 1
-        start = rng.lognormal(mean=0.0, sigma=1.0, size=problem.n)
+    for tag, start in itertools.chain(_pattern_seeds(problem), smooth):
         trace = [problem.objective(start)]
         val, arg = _polish(problem, start, trace)
-        consider(f"smooth-start-{s}", val, arg, trace)
-
-    return MinResult(
-        value=best_val,
-        minimizer=best_arg,
-        starts=n_starts,
-        winning_seed=best_tag,
-        traces=traces,
-    )
+        traces.append((tag, trace))
+        tol = 1e-12 * max(1.0, abs(val))
+        # a tie goes to the sparser minimizer (exact zeros are informative)
+        if val < best_val - tol or (val <= best_val + tol and best_arg is not None
+                                    and np.count_nonzero(arg) < np.count_nonzero(best_arg)):
+            best_val, best_arg, best_tag = val, arg, tag
+    return MinResult(best_val, best_arg, len(traces), best_tag, traces)

@@ -56,10 +56,22 @@ def report(capsys, num, ok, detail):
 
 
 def random_lengths(rng, n, k):
+    """Lognormal lengths, each zeroed with probability 0.3, with no k zeros in a row.
+
+    The lengths are positive, so only the zero mask decides admissibility:
+    masks are drawn 256 at a time, their zero runs read from one cumsum of
+    the nonzero counts, and the lengths drawn once, for the first accepted mask.
+    """
     while True:
-        l = rng.lognormal(0.0, 1.0, n)
-        l[rng.random(n) < 0.3] = 0.0
-        if in_domain(l, k):
+        zero = rng.random((256, n)) < 0.3
+        nonzeros = np.zeros((256, n + 1), dtype=np.int64)
+        np.cumsum(~zero, axis=1, out=nonzeros[:, 1:])
+        # a window of k entries is all zero iff the count does not grow across it
+        accepted = np.flatnonzero(np.all(nonzeros[:, k:] > nonzeros[:, :-k], axis=1))
+        if len(accepted):
+            l = rng.lognormal(0.0, 1.0, n)
+            l[zero[accepted[0]]] = 0.0
+            assert in_domain(l, k)
             return l
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -28,14 +29,35 @@ def runner():
     return CliRunner()
 
 
+def _scipy_modules_after(*commands):
+    """scipy modules loaded in a fresh interpreter after running the commands."""
+    src = str(Path(bvgamma.__file__).resolve().parents[1])
+    code = ("import sys; from bvgamma.cli import main\n"
+            f"for args in {list(commands)!r}:\n"
+            "    main(args, standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return ast.literal_eval(out.stderr.splitlines()[-1])
+
+
+_SWEEP = ("--starts", "16", "--seed", "0", "--dump-minimizer")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is loaded by the commands that need it, not at start-up
-    src = str(Path(bvgamma.__file__).resolve().parents[1])
-    code = ("import sys; import bvgamma.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _scipy_modules_after() == []
+
+
+def test_certified_sweeps_leave_scipy_unloaded():
+    assert _scipy_modules_after(
+        ["--json", "minprob", "--law", "phi:3", "--n", "9,12,15", *_SWEEP],
+        ["--json", "minprob", "--law", "phi1", "--n", "8,12,16", *_SWEEP]) == []
+
+
+def test_uncertified_sweep_still_polishes():
+    loaded = _scipy_modules_after(["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP])
+    assert "scipy.optimize" in loaded
 
 
 @pytest.mark.parametrize("user_value", [None, "2"])
@@ -151,6 +173,29 @@ class TestMinprobCommand:
         assert len(lengths) == 8 and min(lengths) >= 0.0
         assert math.fsum(lengths) == pytest.approx(1.0, abs=1e-12)
         assert minprob.log_cost(lengths, 1) == pytest.approx(row["value"], rel=1e-12)
+
+    # rows the multi-start search printed before certified minima skipped it
+    RECORDED = {
+        "phi1": [(8, 9.704060527839234, "period-1", [0.125] * 8),
+                 (12, 15.249237972318797, "period-1", [0.08333333333333333] * 12),
+                 (16, 20.79441541679836, "period-1", [0.0625] * 16)],
+        "phi:3": [(9, 2.772588722239781, "period-3", [0.3333333333333333, 0.0, 0.0] * 3),
+                  (12, 4.1588830833596715, "period-3", [0.25, 0.0, 0.0] * 4),
+                  (15, 5.545177444479562, "period-3", [0.2, 0.0, 0.0] * 5)],
+    }
+
+    @pytest.mark.parametrize("spec", sorted(RECORDED))
+    def test_certified_sweep_reproduces_recorded_rows(self, runner, spec):
+        ns = ",".join(str(row[0]) for row in self.RECORDED[spec])
+        result = runner.invoke(main, ["--json", "minprob", "--law", spec, "--n", ns, *_SWEEP])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)
+        assert [list(row) for row in rows] == [
+            ["n", "value", "value_per_n", "winning_seed", "minimizer"]] * len(rows)
+        for row, (n, value, seed, minimizer) in zip(rows, self.RECORDED[spec], strict=True):
+            assert (row["n"], row["winning_seed"]) == (n, seed)
+            assert row["minimizer"] == json.dumps(minimizer)
+            assert row["value"] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvgamma.laws import ModelLaw, PackagedDyadicLaw, PiecewiseConstantLaw
+from bvgamma import minprob
 from bvgamma.minprob import (
     MinProblem,
+    _certified_minimum,
     in_domain,
     log_cost,
     minimize,
@@ -22,10 +25,22 @@ length_tuples = st.integers(4, 16).flatmap(lambda n: st.lists(
 
 
 def random_admissible(rng, n, k):
+    """Lognormal lengths, each zeroed with probability 0.3, with no k zeros in a row.
+
+    The lengths are positive, so only the zero mask decides admissibility:
+    masks are drawn 256 at a time, their zero runs read from one cumsum of
+    the nonzero counts, and the lengths drawn once, for the first accepted mask.
+    """
     while True:
-        l = rng.lognormal(0.0, 1.0, n)
-        l[rng.random(n) < 0.3] = 0.0
-        if in_domain(l, k):
+        zero = rng.random((256, n)) < 0.3
+        nonzeros = np.zeros((256, n + 1), dtype=np.int64)
+        np.cumsum(~zero, axis=1, out=nonzeros[:, 1:])
+        # a window of k entries is all zero iff the count does not grow across it
+        accepted = np.flatnonzero(np.all(nonzeros[:, k:] > nonzeros[:, :-k], axis=1))
+        if len(accepted):
+            l = rng.lognormal(0.0, 1.0, n)
+            l[zero[accepted[0]]] = 0.0
+            assert in_domain(l, k)
             return l
 
 
@@ -334,8 +349,10 @@ class TestMinimize:
         assert pb.objective(res.minimizer) == pytest.approx(res.value, abs=1e-10)
 
     def test_traces_monotone(self):
-        pb = MinProblem(n=8, law=ModelLaw(1))
+        # 3 does not divide 8, so every start is polished
+        pb = MinProblem(n=8, law=ModelLaw(3))
         res = minimize(pb, starts=4, seed=3)
+        assert res.certified is None
         for tag, trace in res.traces:
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-6 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -345,3 +362,126 @@ class TestMinimize:
         doc = res.to_json()
         assert doc["value"] == res.value
         assert len(doc["minimizer"]) == 5
+        assert doc["certified"] == res.certified is not None
+
+    @pytest.mark.parametrize("n,law", [(12, ModelLaw(3)), (8, PackagedDyadicLaw((1, 1)))], ids=repr)
+    def test_value_is_the_cost_of_the_minimizer(self, n, law):
+        pb = MinProblem(n=n, law=law)
+        res = minimize(pb, starts=4, seed=0)
+        assert res.value == pb.objective(res.minimizer)
+
+    @pytest.mark.parametrize("n,k", [(8, 1), (6, 2), (15, 3), (8, 4), (10, 5)])
+    def test_certified_law_returns_its_pattern_unpolished(self, n, k, monkeypatch):
+        def no_polish(*args):
+            raise AssertionError("a certified minimum needs no polish")
+        monkeypatch.setattr(minprob, "_polish", no_polish)
+        pb = MinProblem(n=n, law=ModelLaw(k))
+        res = minimize(pb, starts=16, seed=0)
+        assert (res.starts, res.winning_seed) == (1, f"period-{k}")
+        assert res.certified is not None
+        assert res.minimizer.tobytes() == (_period_pattern(n, k) / (n // k)).tobytes()
+        assert res.value == pytest.approx((n // k - 1) * math.log(4.0), rel=1e-12)
+        assert res.traces == [(res.winning_seed, [res.value])]
+
+    def test_polish_reaches_the_phi1_minimum_from_smooth_starts(self):
+        # minimize certifies phi1 without a search, so the descent is checked on its own
+        pb = MinProblem(n=8, law=ModelLaw(1))
+        rng = np.random.default_rng(34)
+        for _ in range(4):
+            value, arg = minprob._polish(pb, rng.lognormal(0.0, 1.0, 8), [])
+            assert value == pytest.approx(7 * math.log(4.0), rel=1e-10)
+            assert np.max(np.abs(arg - 1.0 / 8)) < 1e-6
+
+    def test_uncertified_law_polishes_every_start(self, monkeypatch):
+        calls = []
+        polish = minprob._polish
+        monkeypatch.setattr(minprob, "_polish", lambda *a: calls.append(a) or polish(*a))
+        res = minimize(MinProblem(n=10, law=ModelLaw(3)), starts=4, seed=0)
+        assert res.certified is None
+        assert len(calls) == res.starts == len(res.traces) > 4
+
+
+def _window_poly(n_vars, start, size):
+    """The window sum x_start + ... + x_{start+size-1}, as {exponents: coefficient}."""
+    return {tuple(int(v == i) for v in range(n_vars)): 1 for i in range(start, start + size)}
+
+
+def _poly_mul(p, q):
+    out = Counter()
+    for a, x in p.items():
+        for b, y in q.items():
+            out[tuple(i + j for i, j in zip(a, b))] += x * y
+    return out
+
+
+def _period_pattern(n, k):
+    pattern = np.zeros(n)
+    pattern[::k] = 1.0
+    return pattern
+
+
+class TestCertifiedMinimum:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_block_identity_has_nonnegative_coefficients(self, k):
+        # prod_{r<k} S_{r,k+1} - S_{0,2k} prod_{1<=r<k} S_{r,k}, expanded in x_0..x_{2k-1}
+        n_vars = 2 * k
+        lhs = {(0,) * n_vars: 1}
+        for r in range(k):
+            lhs = _poly_mul(lhs, _window_poly(n_vars, r, k + 1))
+        rhs = _window_poly(n_vars, 0, 2 * k)
+        for r in range(1, k):
+            rhs = _poly_mul(rhs, _window_poly(n_vars, r, k))
+        diff = Counter(lhs)
+        diff.subtract(rhs)
+        assert min(diff.values()) >= 0
+        assert sum(diff.values()) > 0  # the identity is strict for k >= 2
+
+    def test_block_identity_for_threshold_3_matches_criterion_2(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x = rng.lognormal(0.0, 1.0, 6)
+            x[rng.random(6) < 0.3] = 0.0
+            t, u = window_sums(x, 3), window_sums(x, 4)
+            lhs = u[0] * u[1] * u[2] - x.sum() * t[1] * t[2]
+            rhs = x[0] * x[4] * t[2] + x[1] * x[5] * t[1] + x[0] * x[5] * u[1]
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * u[0] * u[1] * u[2])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bound_holds_on_random_admissible_tuples(self, k):
+        rng = np.random.default_rng(32 + k)
+        with_zeros = 0
+        for draw in range(2000):
+            n = k * int(rng.integers(2, 25 // k + 1))
+            bound = _certified_minimum(MinProblem(n=n, law=ModelLaw(k)))[0]
+            assert bound == (n // k - 1) * math.log(4.0)
+            if draw % 2:
+                l = random_admissible(rng, n, k)
+            else:
+                # near the minimum: a jittered period-k pattern with a light fill
+                l = _period_pattern(n, k) * rng.lognormal(0.0, 0.1, n)
+                l += np.where(rng.random(n) < 0.3, 1e-3 * rng.lognormal(0.0, 1.0, n), 0.0)
+            with_zeros += bool(np.any(l == 0.0))
+            assert log_cost(l, k) >= bound - 1e-12 * max(1.0, bound)
+        # phi_1's domain has no zeros at all
+        assert with_zeros >= 1000 if k > 1 else with_zeros == 0
+
+    def test_pattern_attains_certificate(self):
+        for k in range(1, 6):
+            for n in range(2 * k, 41, k):
+                value, pattern = _certified_minimum(MinProblem(n=n, law=ModelLaw(k)))
+                assert pattern.tobytes() == _period_pattern(n, k).tobytes()
+                # window sums of 1 and 2 make the pattern's cost exact
+                assert log_cost(pattern, k) == value
+                assert log_cost(pattern / pattern.sum(), k) == pytest.approx(value, rel=1e-12)
+
+    def test_weight_scales_the_minimum(self):
+        value, pattern = _certified_minimum(MinProblem(n=12, law=PiecewiseConstantLaw((0, 0, 2.5))))
+        assert value == 2.5 * 3 * math.log(4.0)
+        assert pattern.tobytes() == _period_pattern(12, 3).tobytes()
+
+    @pytest.mark.parametrize("n,law", [
+        (10, ModelLaw(3)), (11, ModelLaw(3)), (12, ModelLaw(6)), (8, PackagedDyadicLaw((1, 1))),
+        (9, PiecewiseConstantLaw((1, 0, 1))),
+    ], ids=repr)
+    def test_no_certificate(self, n, law):
+        assert _certified_minimum(MinProblem(n=n, law=law)) is None
