@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,26 @@ class TestHarmonic:
     def test_float_matches_exact(self):
         assert harmonic_number(100) == pytest.approx(
             float(harmonic_number(100, exact=True)), rel=1e-14)
+
+    def test_binary_splitting_equals_plain_sum(self):
+        for n in [*range(301), 4095]:
+            plain = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+            assert harmonic_number(n, exact=True) == plain
+
+    @pytest.mark.parametrize("n", [4095, 4096, 8191, 2 ** 16 - 1, 2 ** 20 - 1])
+    def test_euler_maclaurin_matches_fsum(self, n):
+        direct = math.fsum(1.0 / k for k in range(1, n + 1))
+        assert abs(harmonic_number(n) - direct) <= 4e-16 * direct
+
+    def test_deep_psi_bound_is_immediate(self):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            rep = psi_bound(40)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
+        assert rep.k_lower == pytest.approx(40 * math.log(2) / harmonic_number(2 ** 40 - 1))
+        assert psi_bound(39).k_lower < rep.k_lower < 1.0
 
 
 class TestPsiBound:
@@ -111,6 +133,43 @@ class TestZetaBound:
                                  points=nodes, limit=400)
         oracle = body + 2.5 / 8.0
         assert rep.scale_factor == pytest.approx(oracle, rel=1e-8)
+
+
+def _random_gapped_nodes(rng):
+    """One to five nodes on indices -6..6, nondecreasing values, first one positive."""
+    zs = sorted(rng.sample(range(-6, 7), rng.randint(1, 5)))
+    values = np.cumsum([rng.uniform(0.1, 1.0)] + [rng.uniform(0.0, 1.0) for _ in zs[1:]])
+    return tuple(zip(zs, values))
+
+
+class _ScaleFactorOff(DyadicAffineLaw):
+    def scale_factor(self) -> float:
+        return super().scale_factor() * (1.0 + 1e-9)
+
+
+class TestZetaOracle:
+    def test_matches_adaptive_quadrature_and_series(self):
+        rng = random.Random(13)
+        singles = 0
+        for _ in range(200):
+            law = DyadicAffineLaw(nodes=_random_gapped_nodes(rng))
+            singles += len(law.nodes) == 1
+            zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
+            body, _ = integrate.quad(lambda t: law(t) / t ** 2, 2.0 ** (zmin - 1), 2.0 ** zmax,
+                                     points=[2.0 ** z for z in range(zmin - 1, zmax + 1)],
+                                     limit=400)
+            oracle = body + law.nodes[-1][1] / 2.0 ** zmax
+            quad = dict(zeta_bound(law).chain)["scale-factor-quadrature"]
+            assert quad == pytest.approx(oracle, rel=1e-13)
+            assert quad == pytest.approx(law.scale_factor(), rel=1e-12)
+        assert singles > 0
+
+    def test_scale_factor_off_by_1e9_is_caught(self):
+        rng = random.Random(14)
+        for _ in range(20):
+            law = _ScaleFactorOff(nodes=_random_gapped_nodes(rng))
+            with pytest.raises(AssertionError, match="disagrees with quadrature"):
+                zeta_bound(law)
 
 
 class TestGammaLiminfFactor:

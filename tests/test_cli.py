@@ -30,11 +30,17 @@ def runner():
 
 
 def _scipy_modules_after(*commands):
-    """scipy modules loaded in a fresh interpreter after running the commands."""
+    """scipy modules loaded in a fresh interpreter after running the commands.
+
+    A command that ends in ``sys.exit`` (``verify``) must exit 0.
+    """
     src = str(Path(bvgamma.__file__).resolve().parents[1])
     code = ("import sys; from bvgamma.cli import main\n"
             f"for args in {list(commands)!r}:\n"
-            "    main(args, standalone_mode=False)\n"
+            "    try:\n"
+            "        main(args, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (args, exc.code)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -53,6 +59,21 @@ def test_certified_sweeps_leave_scipy_unloaded():
     assert _scipy_modules_after(
         ["--json", "minprob", "--law", "phi:3", "--n", "9,12,15", *_SWEEP],
         ["--json", "minprob", "--law", "phi1", "--n", "8,12,16", *_SWEEP]) == []
+
+
+def test_verify_workload_leaves_scipy_unloaded(tmp_path):
+    nodes = tmp_path / "zeta.json"
+    nodes.write_text(json.dumps({"nodes": [[-2, 0.25], [0, 0.5], [3, 1.75]]}))
+    suites = [["--json", "verify", suite, "--count", "20", "--seed", "3"]
+              for suite in ("telescope", "rearrange", "chain", "domination")]
+    assert _scipy_modules_after(
+        *suites,
+        ["--json", "law", "--spec", "psi:2"],
+        ["--json", "law", "--spec", "phieps:0.01"],
+        ["--json", "bounds", "psi", "--m", "1..12"],
+        ["--json", "bounds", "theta"],
+        ["--json", "bounds", "zeta", "--f", str(nodes)],
+        ["--json", "bounds", "counterexample"]) == []
 
 
 def test_uncertified_sweep_still_polishes():

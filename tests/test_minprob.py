@@ -16,6 +16,7 @@ from bvgamma.minprob import (
     log_cost,
     minimize,
     power_cost,
+    random_length_tuple,
     telescopic_margin,
     window_sums,
 )
@@ -150,6 +151,34 @@ class TestDomain:
             l = rng.choice(special, size=n, p=[0.3, 0.2, 0.2, 0.1, 0.06, 0.05, 0.05, 0.04])
             k = int(rng.integers(0, 12))
             assert _outcome(in_domain, l, k) is _outcome(_in_domain_convolve, l, k)
+
+
+class TestRandomLengthTuple:
+    def test_zero_run_rule_equals_in_domain(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20_000):
+            n = int(rng.integers(4, 25))
+            a = int(rng.integers(1, 5))
+            mask = rng.random(n) < rng.uniform(0.1, 0.9)
+            lengths = np.where(mask, 0.0, rng.lognormal(0.0, 1.0, n))
+            assert (b"\x01" * a not in mask.tobytes()) == in_domain(lengths, a)
+
+    def test_same_draws_as_redrawing_whole_tuples(self):
+        # the earlier sampler: zero the tuple, test it, redraw it whole
+        ours, theirs = np.random.default_rng(32), np.random.default_rng(32)
+        for _ in range(500):
+            n = int(ours.integers(4, 25))
+            a = int(ours.integers(1, min(4, n - 1) + 1))
+            assert (n, a) == (int(theirs.integers(4, 25)),
+                              int(theirs.integers(1, min(4, n - 1) + 1)))
+            got = random_length_tuple(ours, n, a)
+            while True:
+                want = theirs.lognormal(0.0, 1.0, size=n)
+                want[theirs.random(n) < 0.3] = 0.0
+                if in_domain(want, a):
+                    break
+            assert got.tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()
 
 
 class TestLogCost:
