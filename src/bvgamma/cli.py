@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 import click
@@ -28,9 +27,6 @@ from .laws import (
     phi_eps,
 )
 from .stepfn import StepFunction
-
-# scipy loads its own OpenBLAS on first use; keep its idle threads from spinning
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __all__ = ["main", "parse_law_spec"]
 

@@ -229,16 +229,15 @@ class DyadicAffineLaw(InteractionLaw):
         if vals[-1] == 0:
             raise ValueError("law would be identically zero")
         given = dict(pairs)
-        # node values are nondecreasing, so the running max holds each gap
+        # node values are nondecreasing, so the running max holds each gap;
+        # entry 0 is the zero at index zmin - 1, and clipping an index to the
+        # ends of this table fills zeros to the left and the last value to the right
         object.__setattr__(self, "_table", np.maximum.accumulate(
-            [given.get(i, 0.0) for i in range(zs[0], zs[-1] + 1)]))
+            [given.get(i, 0.0) for i in range(zs[0] - 1, zs[-1] + 1)]))
 
     def _seq(self, z):
         """Sequence value at integer index z (zero left, gaps held, constant right)."""
-        zmin = self.nodes[0][0]
-        zmax = self.nodes[-1][0]
-        zi = np.clip(np.asarray(z), zmin - 1, zmax)
-        return np.where(zi < zmin, 0.0, self._table[np.clip(zi - zmin, 0, zmax - zmin)])
+        return np.take(self._table, np.asarray(z) - (self.nodes[0][0] - 1), mode="clip")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

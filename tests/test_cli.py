@@ -76,37 +76,30 @@ def test_verify_workload_leaves_scipy_unloaded(tmp_path):
         ["--json", "bounds", "counterexample"]) == []
 
 
-def test_uncertified_sweep_still_polishes():
-    loaded = _scipy_modules_after(["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP])
-    assert "scipy.optimize" in loaded
+def test_uncertified_sweep_still_polishes(runner, monkeypatch):
+    # psi:2 has no certified minimum, so every start is polished, and the
+    # polish loads no scipy
+    calls = []
+    polish = minprob._polish
+    monkeypatch.setattr(minprob, "_polish", lambda *a: calls.append(a) or polish(*a))
+    result = runner.invoke(main, ["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP])
+    assert result.exit_code == 0
+    problem = minprob.MinProblem(8, PackagedDyadicLaw((1, 1)))
+    assert len(calls) == len(list(minprob._pattern_seeds(problem))) + 16
+    assert _scipy_modules_after(["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP]) == []
+    assert _scipy_modules_after(["--json", "bounds", "factor", "--law", "psi:2"]) == []
 
 
-@pytest.mark.parametrize("user_value", [None, "2"])
-def test_cli_pins_scipy_blas_threads_unless_set(user_value):
-    # the pin must be in place before scipy loads its OpenBLAS; a pinned
-    # OpenBLAS starts no threads of its own
+@pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8,12"],
+                                  ["bounds", "factor", "--law", "psi:2"]], ids=" ".join)
+def test_polishing_commands_run_without_scipy(args):
+    # a None entry in sys.modules makes every import of scipy fail
     src = str(Path(bvgamma.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src
-    if user_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = user_value
-    code = ("import os\n"
-            "def threads():\n"
-            "    if not os.path.exists('/proc/self/status'):\n"
-            "        return 0\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(l.split()[1]) for l in fh if l.startswith('Threads:'))\n"
-            "import bvgamma.cli\n"
-            "before = threads()\n"
-            "import scipy.optimize\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'], threads() - before)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env, timeout=60)
-    value, added = out.stdout.split()
-    if user_value is None:
-        assert (value, added) == ("1", "0")
-    else:
-        assert value == user_value
+    code = "import sys; sys.modules['scipy'] = None; from bvgamma.cli import main; main()"
+    out = subprocess.run([sys.executable, "-c", code, "--json", *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)
 
 
 class TestLawSpec:

@@ -49,6 +49,23 @@ def _dyadic_seq_rebuilt(nodes, z):
     return np.where(zi < zmin, 0.0, table[np.clip(zi - zmin, 0, zmax - zmin)])
 
 
+def _dyadic_law_rebuilt(nodes, t):
+    """The dyadic affine law from the rebuilt sequence: the oracle for its __call__."""
+    t = np.asarray(t, dtype=float)
+    z = np.floor(np.log2(np.where(t > 0, t, 1.0))).astype(int)
+    lo, hi = _dyadic_seq_rebuilt(nodes, z), _dyadic_seq_rebuilt(nodes, z + 1)
+    node = np.exp2(z)
+    return np.where(t > 0, lo + (hi - lo) * (t - node) / node, 0.0)[()]
+
+
+_DYADIC_NODES = [
+    ((-2, 0.1), (0, 0.5), (2, 1.5)),
+    ((-2, 0.1), (-1, 0.3), (0, 0.35), (2, 2.0)),
+    tuple((z, min(1.0, 4.0 ** z)) for z in range(-6, 2)),
+    ((3, 0.75),),
+]
+
+
 class TestEvaluate:
     def test_model_below_threshold(self):
         assert ModelLaw(1)(0.5) == 0.0
@@ -103,23 +120,34 @@ class TestEvaluate:
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("nodes", [
-        ((-2, 0.1), (0, 0.5), (2, 1.5)),
-        ((-2, 0.1), (-1, 0.3), (0, 0.35), (2, 2.0)),
-        tuple((z, min(1.0, 4.0 ** z)) for z in range(-6, 2)),
-    ])
+    @pytest.mark.parametrize("nodes", _DYADIC_NODES)
     def test_dyadic_affine_matches_per_call_table(self, nodes):
         law = DyadicAffineLaw(nodes=nodes)
         t = np.linspace(0.0, 16.0, 20001)
-        z = np.floor(np.log2(np.where(t > 0, t, 1.0))).astype(int)
-        lo, hi = _dyadic_seq_rebuilt(law.nodes, z), _dyadic_seq_rebuilt(law.nodes, z + 1)
-        node = np.exp2(z)
-        want = np.where(t > 0, lo + (hi - lo) * (t - node) / node, 0.0)
-        assert law(t).tobytes() == want.tobytes()
+        assert law(t).tobytes() == _dyadic_law_rebuilt(law.nodes, t).tobytes()
         zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
         seq = [float(_dyadic_seq_rebuilt(law.nodes, z)) for z in range(zmin - 1, zmax + 2)]
         steps = [(z, b - a) for z, a, b in zip(range(zmin - 1, zmax + 1), seq, seq[1:])]
         assert law.increments() == [(z, d) for z, d in steps if d != 0.0]
+
+    @pytest.mark.parametrize("nodes", _DYADIC_NODES)
+    def test_dyadic_sequence_lookup_matches_clip_rule(self, nodes):
+        # one clipped lookup into the zero-padded table against two clips and a where
+        law = DyadicAffineLaw(nodes=nodes)
+        zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
+        zs = np.arange(zmin - 5, zmax + 6)
+        assert law._seq(zs).tobytes() == _dyadic_seq_rebuilt(law.nodes, zs).tobytes()
+        for z in zs.tolist():
+            got, want = law._seq(z), _dyadic_seq_rebuilt(law.nodes, z)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        rng = np.random.default_rng(11)
+        t = np.exp2(rng.uniform(zmin - 5, zmax + 6, 4000))
+        t[rng.random(4000) < 0.05] = 0.0
+        t[rng.random(4000) < 0.05] *= -1.0
+        assert law(t).tobytes() == _dyadic_law_rebuilt(law.nodes, t).tobytes()
+        for x in t[:200].tolist():
+            got, want = law(x), _dyadic_law_rebuilt(law.nodes, x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestScaleFactor:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -420,6 +421,33 @@ class TestMinimize:
             value, arg = minprob._polish(pb, rng.lognormal(0.0, 1.0, 8), [])
             assert value == pytest.approx(7 * math.log(4.0), rel=1e-10)
             assert np.max(np.abs(arg - 1.0 / 8)) < 1e-6
+
+    # minimize(MinProblem(n, law), starts=16, seed=0) as recorded with scipy's
+    # L-BFGS-B polish: (law, n, value, winning seed, or None where only the value
+    # is pinned)
+    PINNED_SWEEPS = [
+        (PackagedDyadicLaw((1, 1)), 8, 17.30410144105729, "period-1"),
+        (PackagedDyadicLaw((1, 1)), 12, 28.394465139165806, "period-1"),
+        (PackagedDyadicLaw((1, 1)), 16, 39.48481676889701, "period-1"),
+        (ModelLaw(3), 8, 1.3862943611198906, "period-3+2"),
+        (ModelLaw(3), 10, 2.7725887222397816, "period-3+1"),
+        (ModelLaw(3), 11, 2.7725887222397816, "period-3+2"),
+        (ModelLaw(3), 13, 4.1588830833596715, "period-3+1"),
+        (PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)), 12, 6.251095664454465, None),
+        (PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)), 18, 11.103125928374036, None),
+        (PiecewiseConstantLaw((1, 0, 1)), 12, 20.34891647877116, None),
+        (PiecewiseConstantLaw((0, 1, 1)), 10, 9.704060527839236, None),
+    ]
+
+    @pytest.mark.parametrize("law,n,value,seed", PINNED_SWEEPS, ids=repr)
+    def test_pinned_sweeps(self, law, n, value, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(MinProblem(n=n, law=law), starts=16, seed=0)
+        assert res.certified is None
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+        if seed is not None:
+            assert res.winning_seed == seed
 
     def test_uncertified_law_polishes_every_start(self, monkeypatch):
         calls = []
