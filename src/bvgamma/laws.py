@@ -14,8 +14,9 @@ small near the origin.  Several concrete families are supported:
   factor,
 * tabulated laws given by samples.
 
-Every law evaluates on scalars or numpy arrays, knows its scale factor
-(the integral of law(t)/t^2 over (0, inf)), and serializes to JSON.
+Every law evaluates on scalars or numpy arrays, states itself once as a
+measure of thresholds (law(t) = mu((0, t))), knows its scale factor (the
+integral of law(t)/t^2 over (0, inf)), and serializes to JSON.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _as_fraction(x):
 
 
 class InteractionLaw:
-    """Base class; concrete laws implement __call__ and scale_factor."""
+    """Base class; concrete laws implement __call__, threshold_measure and upper_bound."""
 
     #: structurally bounded; only tabulated laws with an extrapolating tail
     #: can be unbounded
@@ -66,8 +67,13 @@ class InteractionLaw:
         raise NotImplementedError
 
     def scale_factor(self) -> float:
-        """Integral of law(t) / t^2 over (0, +inf)."""
-        raise NotImplementedError
+        """Integral of law(t) / t^2 over (0, +inf), that is, of 1/s against the
+        threshold measure."""
+        atoms, densities = self.threshold_measure()
+        parts = [w / s for s, w in atoms]
+        for s0, s1, c, p in densities:
+            parts.append(c * math.log(s1 / s0) if p == 0 else c * (s1 ** p - s0 ** p) / p)
+        return math.fsum(parts)
 
     def scale_factor_exact(self):
         """Exact rational scale factor when one exists, else None."""
@@ -75,6 +81,15 @@ class InteractionLaw:
 
     def upper_bound(self) -> float:
         """A constant bounding the law from above (sup of its values)."""
+        raise NotImplementedError
+
+    def threshold_measure(self) -> tuple:
+        """The law as a measure mu of thresholds: law(t) = mu((0, t)).
+
+        Returns (atoms, densities): each atom (s, w) is a mass w at s, and each density
+        (s0, s1, c, p) is c * s^p ds on (s0, s1), with s1 possibly inf.  A pair with
+        |u(y) - u(x)| / delta = t counts each threshold below t.
+        """
         raise NotImplementedError
 
 
@@ -99,9 +114,7 @@ class _StepWeightLaw(InteractionLaw):
 
     def scale_factor(self) -> float:
         exact = self.scale_factor_exact()
-        if exact is not None:
-            return float(exact)
-        return math.fsum(w / k for k, w in self.steps)
+        return super().scale_factor() if exact is None else float(exact)
 
     def scale_factor_exact(self):
         total = Fraction(0)
@@ -114,6 +127,9 @@ class _StepWeightLaw(InteractionLaw):
 
     def upper_bound(self) -> float:
         return float(math.fsum(w for _, w in self.steps))
+
+    def threshold_measure(self) -> tuple:
+        return tuple((float(k), float(w)) for k, w in self.steps), ()
 
 
 @dataclass(frozen=True)
@@ -191,12 +207,11 @@ class AffineThetaLaw(InteractionLaw):
         r = np.subtract(t, 1.0, out=np.empty(t.shape))
         return np.clip(r, 0.0, 1.0, out=r)[()]
 
-    def scale_factor(self) -> float:
-        # integral of (t-1)/t^2 on (1,2) plus 1/t^2 tail beyond 2
-        return math.log(2.0)
-
     def upper_bound(self) -> float:
         return 1.0
+
+    def threshold_measure(self) -> tuple:
+        return (), ((1.0, 2.0, 1.0, 0.0),)
 
 
 @dataclass(frozen=True)
@@ -260,14 +275,13 @@ class DyadicAffineLaw(InteractionLaw):
                 out.append((z, d))
         return out
 
-    def scale_factor(self) -> float:
-        # series representation: the law is a combination of rescaled affine
-        # ramps, one per increment of the node sequence
-        series = math.fsum(d * 2.0 ** (-z) for z, d in self.increments())
-        return math.log(2.0) * series
-
     def upper_bound(self) -> float:
         return self.nodes[-1][1]
+
+    def threshold_measure(self) -> tuple:
+        # the increment d at z is the ramp d * theta(t / 2^z)
+        return (), tuple((2.0 ** z, 2.0 ** (z + 1), d / 2.0 ** z, 0.0)
+                         for z, d in self.increments())
 
 
 @dataclass(frozen=True)
@@ -289,9 +303,6 @@ class ScaledLaw(InteractionLaw):
     def __call__(self, t):
         return self.alpha * self.inner(np.asarray(t, dtype=float) * self.beta)
 
-    def scale_factor(self) -> float:
-        return self.alpha * self.beta * self.inner.scale_factor()
-
     def scale_factor_exact(self):
         inner = self.inner.scale_factor_exact()
         fa, fb = _as_fraction(self.alpha), _as_fraction(self.beta)
@@ -301,6 +312,13 @@ class ScaledLaw(InteractionLaw):
 
     def upper_bound(self) -> float:
         return self.alpha * self.inner.upper_bound()
+
+    def threshold_measure(self) -> tuple:
+        # the inner threshold s is the threshold s / beta, and ds = beta dr
+        atoms, densities = self.inner.threshold_measure()
+        a, b = self.alpha, self.beta
+        return (tuple((s / b, a * w) for s, w in atoms),
+                tuple((s0 / b, s1 / b, a * c * b ** (p + 1.0), p) for s0, s1, c, p in densities))
 
 
 @dataclass(frozen=True)
@@ -354,30 +372,19 @@ class TabulatedLaw(InteractionLaw):
             out = np.where(t > ts[-1], vs[-1] + slope * (t - ts[-1]), out)
         return out[()]
 
-    def scale_factor(self) -> float:
-        ts = self.grid
-        vs = self.samples
-        p = self.origin_power
-        # head: v0 * (t/t0)^p / t^2 integrated over (0, t0)
-        parts = [vs[0] / (ts[0] * (p - 1.0))]
-        # affine panels: (c + m t) / t^2 has antiderivative -c/t + m log t
-        for (t0, v0), (t1, v1) in zip(zip(ts, vs), zip(ts[1:], vs[1:])):
-            m = (v1 - v0) / (t1 - t0)
-            c = v0 - m * t0
-            parts.append(c * (1.0 / t0 - 1.0 / t1) + m * math.log(t1 / t0))
-        if self.tail == "constant":
-            parts.append(vs[-1] / ts[-1])
-        else:
-            slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
-            if slope > 0:
-                return math.inf
-            parts.append(vs[-1] / ts[-1])
-        return math.fsum(parts)
-
     def upper_bound(self) -> float:
         if not self.bounded:
             return math.inf
         return max(self.samples)
+
+    def threshold_measure(self) -> tuple:
+        ts, vs, p = self.grid, self.samples, self.origin_power
+        slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
+        densities = [(0.0, ts[0], vs[0] * p / ts[0] ** p, p - 1.0)]
+        densities += [(t0, t1, m, 0.0) for t0, t1, m in zip(ts, ts[1:], slopes) if m]
+        if self.tail == "extrapolate" and slopes[-1]:
+            densities.append((ts[-1], math.inf, slopes[-1], 0.0))
+        return (), tuple(densities)
 
 
 def rescale(law: InteractionLaw, alpha: float, beta: float) -> ScaledLaw:
@@ -401,12 +408,13 @@ class QuadraticHeadLaw(InteractionLaw):
         head = np.clip(t, 0.0, 1.0)
         return np.where(t > 1.0, self._c, self._c * self.eps * head * head)[()]
 
-    def scale_factor(self) -> float:
-        # the head contributes c*eps and the constant tail c
-        return self._c * self.eps + self._c
-
     def upper_bound(self) -> float:
         return self._c
+
+    def threshold_measure(self) -> tuple:
+        # c*eps*t^2 has the density 2*c*eps*s, and the jump from c*eps to c sits at 1
+        return (((1.0, self._c * (1.0 - self.eps)),),
+                ((0.0, 1.0, 2.0 * self._c * self.eps, 1.0),))
 
 
 def phi_eps(eps: float) -> QuadraticHeadLaw:

@@ -389,6 +389,19 @@ class TestEnergyCommand:
         assert result.exit_code == 2
         assert "--tol" in result.output and "positive" in result.output
 
+    def test_pointwise_phi1_linear_default_sweep(self, runner):
+        # every row within its estimate of 2 (1 - delta + delta log delta)
+        result = runner.invoke(main, ["--json", "energy", "pointwise", "--law", "phi1",
+                                      "--u", "linear"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)
+        deltas = [row["delta"] for row in rows]
+        assert deltas == pytest.approx([10.0 ** (-1 - i / 2) for i in range(5)], rel=1e-12)
+        for row, d in zip(rows, deltas):
+            exact = 2.0 * (1.0 - d + d * math.log(d))
+            assert abs(row["value"] - exact) <= row["error_estimate"]
+            assert row["error_estimate"] <= 1e-3 * max(1.0, row["value"])
+
     def test_pointwise_ratio_column(self, runner):
         result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",
                                       "--u", "linear", "--deltas", "1e-1,3e-2"])

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from bvgamma import energy
 from bvgamma.energy import (
-    _measure_above,
     geometric_constant,
     hostility,
     lambda_quad,
@@ -19,6 +19,8 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    TabulatedLaw,
+    phi_eps,
 )
 from bvgamma.minprob import in_domain, log_cost
 from bvgamma.stepfn import (
@@ -291,6 +293,14 @@ class TestLambdaStrip:
             lambda_strip(ModelLaw(1), u, 1.0)
 
 
+def _bump(x):
+    return np.sin(np.pi * np.asarray(x)) ** 2
+
+
+def _linear(x):
+    return np.asarray(x, dtype=float)
+
+
 class TestLambdaQuad:
     def test_constant_is_zero(self):
         res = lambda_quad(ModelLaw(1), lambda x: np.zeros_like(np.asarray(x)),
@@ -316,89 +326,62 @@ class TestLambdaQuad:
         with pytest.raises(ValueError, match="empty interval"):
             lambda_quad(ModelLaw(1), lambda x: np.asarray(x, dtype=float), interval, 0.1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            lambda_quad(ModelLaw(1), _linear, (0.0, 1.0), 0.1, tol=tol)
 
-def _measure_above_full_array(w, h, threshold):
-    """Fractional formula applied to every segment: the oracle for _measure_above."""
-    def frac(g0, g1):
-        lo = np.minimum(g0, g1)
-        hi = np.maximum(g0, g1)
-        denom = hi - lo
-        flat = denom == 0
-        safe = np.where(flat, 1.0, denom)
-        f = np.clip((hi - threshold) / safe, 0.0, 1.0)
-        return np.where(flat, (g0 > threshold).astype(float), f)
+    def test_tight_tol_refines_the_grid(self):
+        # the Gauss-Legendre part of the estimate shrinks with the grid too
+        res = lambda_quad(AffineThetaLaw(), _bump, (0.0, 1.0), 0.1, tol=1e-7)
+        assert abs(res.value - _bump_oracle(0.1, ramp=True)) <= res.error_estimate
+        assert res.error_estimate <= 1e-7 * res.value
 
-    g0, g1 = w[:-1], w[1:]
-    return h * float(np.sum(frac(g0, g1) + frac(-g0, -g1)))
-
-
-class TestMeasureAbove:
-    @pytest.mark.parametrize("kind", ["random", "plateau", "exact-threshold"])
-    def test_matches_full_array_formula(self, kind):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(2, 3000))
-            if kind == "random":
-                t = abs(float(rng.normal()))
-                w = rng.normal(size=n)
-            elif kind == "plateau":
-                # runs of equal values give segments with g0 == g1
-                t = float(rng.integers(0, 4)) / 3.0
-                w = np.repeat(np.round(rng.normal(size=n) * 3.0) / 3.0,
-                              rng.integers(1, 4, size=n))
-            else:
-                # samples equal to +-threshold give segments with lo == threshold
-                t = 0.1 * float(rng.integers(1, 5))
-                w = rng.choice([2.0 * t, t, 0.5 * t, 0.0, -t, -2.0 * t], size=n)
-            want = _measure_above_full_array(w, 1e-3, t)
-            got = _measure_above(w, 1e-3, t)
-            assert abs(got - want) <= 1e-12 * abs(want)
-
-    def test_whole_segments(self):
-        w = np.array([0.0, 2.0, 2.0, 0.0, -2.0, -2.0])
-        # above 1 on [0.5, 2.5] and below -1 on [3.5, 5]
-        assert _measure_above(w, 1.0, 1.0) == 3.5
+    def test_unreachable_tol_raises(self):
+        with pytest.raises(RuntimeError, match="tol=1e-12 within 131072"):
+            lambda_quad(ModelLaw(1), _bump, (0.0, 1.0), 0.1, tol=1e-12)
 
 
-def _inner_integral_allocating(law, w, h, delta, items):
-    """Inner integral with fresh temporaries per shift: the oracle for the work array."""
-    if items is not None:
-        return math.fsum(wt * _measure_above(w, h, k * delta) for k, wt in items)
-    vals = np.asarray(law(np.abs(w) / delta), dtype=float)
-    return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
+def _mp_energy(law, delta, breaks):
+    """2 delta int_0^1 law(s/delta) (1 - s) / s^2 ds: the energy of u(x) = x on (0, 1),
+    by mpmath between the law's breakpoints ``breaks`` (in units of delta)."""
+    points = sorted({0.0, 1.0, *(b * delta for b in breaks if b * delta < 1.0)})
+    with mpmath.workdps(30):
+        val = mpmath.quad(
+            lambda s: mpmath.mpf(float(law(float(s) / delta))) * (1 - s) / s ** 2, points)
+    return float(2 * delta * val)
 
 
-def _bump(x):
-    return np.sin(np.pi * np.asarray(x)) ** 2
+def _steps_linear(steps, delta):
+    return math.fsum(2.0 * w * (1.0 / k - delta + delta * math.log(k * delta))
+                     for k, w in steps if k * delta < 1.0)
 
 
-def _linear(x):
-    return np.asarray(x, dtype=float)
+_GAPPED_ZETA = DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5)))
 
-
-class TestLambdaQuadWorkArray:
-    """The shift loop writes every shift into one work array per grid level,
-    and the law branch overwrites it; results must equal the allocating
-    loop's bit for bit."""
-
-    # the largest grids are 32768 points, except 16384 for the slower zeta law
-    @pytest.mark.parametrize("law, u, delta", [
-        (AffineThetaLaw(), _bump, 0.005),
-        (AffineThetaLaw(), _linear, 0.002),
-        (ModelLaw(1), _bump, 0.01),
-        (DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))), _bump, 0.01),
-    ])
-    def test_matches_allocating_inner_integral(self, monkeypatch, law, u, delta):
-        got = lambda_quad(law, u, (0.0, 1.0), delta)
-        monkeypatch.setattr(energy, "_inner_integral", _inner_integral_allocating)
-        want = lambda_quad(law, u, (0.0, 1.0), delta)
-        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+# every law the CLI parses, with the energy of u(x) = x on (0, 1) at delta
+_LINEAR_ORACLES = {
+    "phi1": (ModelLaw(1), lambda d: _steps_linear([(1, 1.0)], d)),
+    "phi:2": (ModelLaw(2), lambda d: _steps_linear([(2, 1.0)], d)),
+    "phi:3": (ModelLaw(3), lambda d: _steps_linear([(3, 1.0)], d)),
+    "psi:2": (PackagedDyadicLaw((1, 1)),
+              lambda d: _steps_linear([(1, 1.0), (2, 1.0), (3, 1.0)], d)),
+    "pca:[0,0,1,0.5,0.25]": (PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)),
+                             lambda d: _steps_linear([(3, 1.0), (4, 0.5), (5, 0.25)], d)),
+    "theta": (AffineThetaLaw(), lambda d: 2.0 * (
+        math.log(2.0) - 2.0 * d + 2.0 * d * math.log(2.0) + d * math.log(d))),
+    "zeta": (_GAPPED_ZETA,
+             lambda d: _mp_energy(_GAPPED_ZETA, d, [2.0 ** z for z in range(-3, 3)])),
+    "phieps:0.01": (phi_eps(0.01), lambda d: 2.0 / 1.01 * (
+        0.01 * (1.0 - d / 2.0) + 1.0 - d + d * math.log(d))),
+}
 
 
 class TestLambdaQuadLinear:
-    """u(x) = x on (0, 1) with the step law of threshold k: energy
-    2 (1/k - delta + delta log(k delta)), with a jump of the inner integral
-    at the shift k delta."""
+    """u(x) = x on (0, 1) is its own interpolant, so only the Gauss-Legendre rule over
+    the thresholds and rounding are left, both within the estimate: step law of
+    threshold k, energy 2 (1/k - delta + delta log(k delta)), and every law the CLI
+    parses against its closed form or an mpmath oracle."""
 
     @pytest.mark.parametrize("k, delta", [(1, 0.1), (1, 0.05), (1, 0.01), (3, 0.1)])
     def test_error_estimate_covers_error(self, k, delta):
@@ -409,56 +392,177 @@ class TestLambdaQuadLinear:
         assert abs(res.value - exact) <= res.error_estimate
         assert res.error_estimate <= tol * max(1.0, abs(res.value))
 
+    @pytest.mark.parametrize("delta", [0.1, 0.05, 0.01, 0.001])
+    @pytest.mark.parametrize("spec", list(_LINEAR_ORACLES))
+    def test_every_cli_law(self, spec, delta):
+        tol = 1e-3
+        law, oracle = _LINEAR_ORACLES[spec]
+        res = lambda_quad(law, _linear, (0.0, 1.0), delta, tol=tol)
+        assert abs(res.value - oracle(delta)) <= res.error_estimate
+        assert res.error_estimate <= tol * max(1.0, abs(res.value))
 
-def _shift_indices_ratio_1005(n, tol=None):
-    """The fixed shift grid used for every tol before the grid was sized by tol."""
-    js = list(range(1, min(64, n) + 1))
-    j = js[-1]
-    while j < n:
-        j = max(j + 1, int(j * 1.005))
-        js.append(min(j, n))
-    return np.unique(np.asarray(js, dtype=int))
+    @pytest.mark.parametrize("delta", [0.1, 0.001])
+    @pytest.mark.parametrize("power", [1.5, 1.8, 3.0])
+    def test_tabulated_power_head(self, power, delta):
+        # the head density s^(power - 2) is singular at 0 for power < 2
+        law = TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=power)
+        res = lambda_quad(law, _linear, (0.0, 1.0), delta)
+        assert abs(res.value - _mp_energy(law, delta, [0.5, 1.0, 2.0])) <= res.error_estimate
+        assert res.error_estimate <= 1e-3 * max(1.0, abs(res.value))
 
 
-class TestShiftIndices:
-    """The outer shift grid has ratio 1 + sqrt(tol)/2, which is 1.005 at tol = 1e-4."""
+def _bump_oracle(delta, steps=(), ramp=False):
+    """Energy of u(x) = sin^2(pi x) on (0, 1) as one mpmath integral over the shift s.
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 8191, 8192, 131071, 131072,
-                                   (1 << 21) - 1, 1 << 21])
-    def test_tol_1e4_gives_the_fixed_grid(self, n):
-        got = energy._shift_indices(n, 1e-4)
-        want = _shift_indices_ratio_1005(n)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    u(x + s) - u(x) = c sin(t) with c = sin(pi s) and t = pi (2x + s), so the x in
+    (0, 1 - s) where |u(x + s) - u(x)| > h fill t in (lo, hi) = (max(a, pi s), pi - a),
+    a = asin(h / c), and its mirror about pi, with dx = dt / (2 pi).  A step law at
+    threshold k sees the measure of that set at h = k delta; theta, the integral over
+    h in (delta, 2 delta) divided by delta, which is a difference of the excesses
+    int (|u(x + s) - u(x)| - h)_+ dx.  The energy is 2 int_0^1 delta / s^2 inner(s) ds.
+    """
+    d = mpmath.mpf(delta)
 
-    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
-    @pytest.mark.parametrize("n", [1, 2, 100, 8192, 131072])
-    def test_nodes_cover_every_shift_range(self, tol, n):
-        js = energy._shift_indices(n, tol)
-        ratio = 1.0 + math.sqrt(tol) / 2
-        assert js[0] == 1 and js[-1] == n
-        steps = np.diff(js)
-        assert np.all(steps > 0)
-        assert np.all(steps <= np.maximum(1.0, (ratio - 1.0) * js[:-1]))
+    def window(s, h):
+        c = mpmath.sin(mpmath.pi * s)
+        if h >= c:
+            return c, None, None
+        a = mpmath.asin(h / c)
+        return c, max(a, mpmath.pi * s), mpmath.pi - a
 
-    @pytest.mark.parametrize("law", [ModelLaw(1), AffineThetaLaw()])
-    @pytest.mark.parametrize("delta", [0.1, 0.01])
-    def test_agrees_with_fixed_grid_within_estimates(self, monkeypatch, law, delta):
-        got = lambda_quad(law, _bump, (0.0, 1.0), delta)
-        monkeypatch.setattr(energy, "_shift_indices", _shift_indices_ratio_1005)
-        want = lambda_quad(law, _bump, (0.0, 1.0), delta)
-        assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate
+    def measure(s, h):
+        _, lo, hi = window(s, h)
+        return 0 if lo is None or lo >= hi else (hi - lo) / mpmath.pi
 
-    def test_tol_1e4_result_is_bit_identical(self, monkeypatch):
-        got = lambda_quad(AffineThetaLaw(), _bump, (0.0, 1.0), 0.1, tol=1e-4)
-        monkeypatch.setattr(energy, "_shift_indices", _shift_indices_ratio_1005)
-        want = lambda_quad(AffineThetaLaw(), _bump, (0.0, 1.0), 0.1, tol=1e-4)
-        assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+    def excess(s, h):
+        c, lo, hi = window(s, h)
+        if lo is None or lo >= hi:
+            return 0
+        return (c * (mpmath.cos(lo) - mpmath.cos(hi)) - h * (hi - lo)) / mpmath.pi
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            lambda_quad(ModelLaw(1), _linear, (0.0, 1.0), 0.1, tol=tol)
+    if ramp:
+        levels = [d, 2 * d]
+
+        def inner(s):
+            return (excess(s, d) - excess(s, 2 * d)) / d
+    else:
+        levels = [k * d for k, _ in steps]
+
+        def inner(s):
+            return mpmath.fsum(w * measure(s, k * d) for k, w in steps)
+
+    # the integrand has kinks where sin(pi s) = h and where sin(pi s)^2 = h
+    points = {0.0, 1.0}
+    for h in levels:
+        if h < 1:
+            for r in (mpmath.asin(h) / mpmath.pi, mpmath.asin(mpmath.sqrt(h)) / mpmath.pi):
+                points |= {float(r), float(1 - r)}
+    with mpmath.workdps(20):
+        val = mpmath.quad(lambda s: d / s ** 2 * inner(s), sorted(points))
+    return float(2 * val)
+
+
+class TestLambdaQuadBump:
+    """u(x) = sin^2(pi x): the interpolation error is left, and the grid-doubling part
+    of the estimate must cover it."""
+
+    @pytest.mark.parametrize("delta", [10.0 ** (-1 - i / 4) for i in range(9)])
+    @pytest.mark.parametrize("law, kw", [
+        (ModelLaw(1), {"steps": [(1, 1)]}),
+        (ModelLaw(3), {"steps": [(3, 1)]}),
+        (AffineThetaLaw(), {"ramp": True}),
+    ], ids=["phi1", "phi:3", "theta"])
+    def test_error_estimate_covers_error(self, law, kw, delta):
+        res = lambda_quad(law, _bump, (0.0, 1.0), delta)
+        assert abs(res.value - _bump_oracle(delta, **kw)) <= res.error_estimate
+        assert res.error_estimate <= 1e-3 * max(1.0, abs(res.value))
+
+
+def _plateau(x):
+    return np.minimum(2.0 * np.asarray(x, dtype=float), 1.0)
+
+
+def _six_runs(x):
+    return np.sin(6.0 * np.pi * np.asarray(x))
+
+
+class TestLambdaQuadEdgeProfiles:
+    """Tied samples and many monotone runs, against values recorded from the shift-grid
+    quadrature this kernel replaced: (law, profile, delta, value, error_estimate)."""
+
+    @pytest.mark.parametrize("law, u, delta, old, old_est", [
+        (ModelLaw(1), _plateau, 0.1, 1.680351006640033, 0.0010122361221306946),
+        (AffineThetaLaw(), _plateau, 0.01, 1.3527691098534074, 0.0003128155504715953),
+        (ModelLaw(1), _six_runs, 0.01, 23.83240016647694, 0.01985839731621561),
+        (ModelLaw(3), _six_runs, 0.1, 6.781102143680071, 0.0016347519656096717),
+        (AffineThetaLaw(), _six_runs, 0.1, 15.35031781779183, 0.0036420549798456274),
+    ])
+    def test_agrees_with_shift_grid(self, law, u, delta, old, old_est):
+        res = lambda_quad(law, u, (0.0, 1.0), delta)
+        assert abs(res.value - old) <= old_est + res.error_estimate
+
+    @pytest.mark.parametrize("delta", [0.2, 0.1, 0.01])
+    def test_plateau_closed_form(self, delta):
+        # min(2x, 1) is its own interpolant on any even grid: pairs on the ramp give
+        # 1/delta - 1 + log(delta), ramp-to-plateau pairs log((1 + delta) / (2 delta))
+        res = lambda_quad(ModelLaw(1), _plateau, (0.0, 1.0), delta)
+        exact = 2.0 * delta * (1.0 / delta - 1.0 + math.log((1.0 + delta) / 2.0))
+        assert abs(res.value - exact) <= res.error_estimate <= 1e-12
+
+
+def _crossing_oracle(xs, us, tau):
+    """The crossing measure of the interpolant of (xs, us), by scipy quad over x.
+
+    For each x the y-integral is solved segment by segment: on a segment,
+    |U(y) - U(x)| > tau holds between consecutive roots of U(y) - U(x) = +-tau.
+    The x-integral is split where U(x) +- tau meets a node value.
+    """
+    def inner(x0):
+        u0 = float(np.interp(x0, xs, us))
+        total = 0.0
+        for k in range(len(xs) - 1):
+            a, b = max(xs[k], x0), xs[k + 1]
+            if b <= a:
+                continue
+            m = (us[k + 1] - us[k]) / (xs[k + 1] - xs[k])
+            roots = [xs[k] + (u0 + o - us[k]) / m for o in (-tau, tau)] if m else []
+            pts = sorted({a, b, *(r for r in roots if a < r < b)})
+            for p, q in zip(pts, pts[1:]):
+                if abs(us[k] + m * (0.5 * (p + q) - xs[k]) - u0) > tau:
+                    total += 1.0 / (p - x0) - 1.0 / (q - x0)
+        return total
+
+    breaks = set(xs)
+    for k in range(len(xs) - 1):
+        m = (us[k + 1] - us[k]) / (xs[k + 1] - xs[k])
+        for level in (*(us + tau), *(us - tau)):
+            if m and xs[k] < xs[k] + (level - us[k]) / m < xs[k + 1]:
+                breaks.add(xs[k] + (level - us[k]) / m)
+    pts = sorted(breaks)
+    return math.fsum(integrate.quad(inner, p, q, epsabs=0.0, epsrel=1e-12)[0]
+                     for p, q in zip(pts, pts[1:]))
+
+
+class TestCrossingMeasure:
+    """The kernel against a segment-by-segment oracle on small piecewise-linear
+    profiles with several runs and with tied samples at integer levels, where a
+    threshold of 1 or 2 meets a plateau exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_segment_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 9))
+        xs = np.sort(rng.uniform(0.0, 3.0, n))
+        us = rng.integers(0, 4, n).astype(float)
+        runs = energy._runs(xs, us)
+        for tau in (0.5, 1.0, 1.7, 2.0):
+            want = _crossing_oracle(xs, us, tau)
+            got = energy._crossing_measure(runs, tau)
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_constant_has_no_runs(self):
+        xs = np.linspace(0.0, 1.0, 9)
+        assert energy._runs(xs, np.full(9, 0.5)) == []
 
 
 class TestGeometricConstant:

@@ -194,6 +194,50 @@ class TestScaleFactor:
         law = TabulatedLaw(grid=(1.0, 2.0), samples=(1.0, 2.0), tail="extrapolate")
         assert law.scale_factor() == math.inf
 
+    @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+    def test_tabulated_quadrature_oracle(self, power):
+        # read from the threshold measure: power head, panel slopes, constant tail
+        law = TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 0.4), origin_power=power)
+        oracle = quad_scale_factor(law, nodes=(0.5, 1.0, 2.0))
+        assert law.scale_factor() == pytest.approx(oracle, rel=1e-9)
+
+
+def _measure_below(law, t):
+    """mu((0, t)) read from the law's threshold measure, densities in closed form."""
+    atoms, densities = law.threshold_measure()
+    total = math.fsum(w for s, w in atoms if s < t)
+    for s0, s1, c, p in densities:
+        top = min(t, s1)
+        if top > s0:
+            total += c * (top ** (p + 1.0) - s0 ** (p + 1.0)) / (p + 1.0)
+    return total
+
+
+class TestThresholdMeasure:
+    """Every law is the measure of the thresholds below its argument."""
+
+    @pytest.mark.parametrize("law", [
+        ModelLaw(3),
+        PiecewiseConstantLaw((0.5, 0, 2)),
+        PackagedDyadicLaw((1, 1)),
+        AffineThetaLaw(),
+        DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
+        rescale(PackagedDyadicLaw((1, 1)), 2.0, 1.5),
+        rescale(AffineThetaLaw(), 0.5, 3.0),
+        rescale(phi_eps(0.1), 2.0, 0.5),
+        phi_eps(0.01),
+        TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=1.5),
+        TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 0.4), tail="extrapolate"),
+    ], ids=lambda law: type(law).__name__)
+    def test_reproduces_the_law(self, law):
+        t = np.concatenate([np.geomspace(1e-3, 20.0, 400), [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]])
+        got = np.array([_measure_below(law, x) for x in t])
+        assert np.allclose(got, np.asarray(law(t)), rtol=1e-12, atol=1e-14)
+
+    def test_step_atoms_are_the_steps(self):
+        law = PackagedDyadicLaw((Fraction(1, 2), 1))
+        assert law.threshold_measure() == (((1.0, 0.5), (2.0, 1.0), (3.0, 1.0)), ())
+
 
 class TestRescale:
     def test_model_k_as_rescaled_phi1(self):
