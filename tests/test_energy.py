@@ -565,6 +565,189 @@ class TestCrossingMeasure:
         assert energy._runs(xs, np.full(9, 0.5)) == []
 
 
+# The shift-grid quadrature that lambda_quad used before the crossing kernel, kept
+# here as an independent second method: it integrates the energy over integer
+# shifts j h of a sampling grid, each shift by the measure of {|w| > threshold} (step
+# laws) or the trapezoid of law(|w| / delta), and refines the grid until the grid
+# doubling plus the shift quadrature's halving estimate is within tol.
+
+def _measure_above(w, h, threshold):
+    """Measure of {|w| > threshold} for the piecewise-linear interpolant of w.
+
+    A segment with both ends above the threshold counts in full and one with
+    neither end above counts nothing, so only the segments whose ends fall on
+    either side of it need the interpolated fraction.
+    """
+    count = 0
+    frac = 0.0
+    for above, sign in ((w > threshold, 1.0), (w < -threshold, -1.0)):
+        cross = np.flatnonzero(above[:-1] != above[1:])
+        # segments hold 2 above ends when full and 1 when crossing
+        ends = 2 * np.count_nonzero(above) - int(above[0]) - int(above[-1])
+        count += (ends - len(cross)) // 2
+        g0, g1 = sign * w[cross], sign * w[cross + 1]
+        hi = np.maximum(g0, g1)
+        frac += float(np.sum((hi - threshold) / (hi - np.minimum(g0, g1))))
+    return h * (count + frac)
+
+
+def _shift_indices(n, tol):
+    """Shifts 1 to n, geometric of ratio 1 + sqrt(tol)/2 (squared step tol/4), steps >= 1."""
+    ratio, js = 1.0 + math.sqrt(tol) / 2, [1]
+    while js[-1] < n:
+        js.append(min(n, max(js[-1] + 1, int(js[-1] * ratio))))
+    return np.asarray(js)
+
+
+def _halving_differences(s, f):
+    """Trapezoid on all nodes minus trapezoid on every other node, per node pair."""
+    cells = 0.5 * np.diff(s) * (f[:-1] + f[1:])
+    m = len(cells) // 2 * 2
+    coarse = 0.5 * (s[2:m + 1:2] - s[0:m:2]) * (f[0:m:2] + f[2:m + 1:2])
+    return cells[0:m:2] + cells[1:m:2] - coarse
+
+
+def _shift_grid_level(law, samples, h, delta, tol, shifts):
+    """Energy on one sampling grid and the halving estimate of its shift quadrature;
+    node pairs holding more than their share of the estimate are bisected."""
+    items = getattr(law, "steps", None)
+
+    def inner(w):
+        if items is not None:
+            return math.fsum(wt * _measure_above(w, h, k * delta) for k, wt in items)
+        vals = np.asarray(law(np.abs(w) / delta), dtype=float)
+        return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
+
+    def integrand(js):
+        return np.array([inner(samples[j:] - samples[:-j]) * delta / (j * h) ** 2
+                         for j in js])
+
+    js = shifts(len(samples) - 1, tol)
+    fvals = integrand(js)
+    while True:
+        val = 2.0 * float(np.trapezoid(fvals, js * h))
+        diffs = 2.0 * _halving_differences(js * h, fvals)
+        err = abs(float(np.sum(diffs)))
+        target = 0.25 * tol * max(1.0, abs(val))
+        pairs = 2 * np.flatnonzero(np.abs(diffs) > target / len(diffs))
+        mids = np.concatenate([js[pairs] + js[pairs + 1], js[pairs + 1] + js[pairs + 2]]) // 2
+        new = np.setdiff1d(mids, js)
+        if err <= target or len(new) == 0:
+            return val, err
+        order = np.argsort(np.concatenate([js, new]))
+        js = np.concatenate([js, new])[order]
+        fvals = np.concatenate([fvals, integrand(new)])[order]
+
+
+def _shift_grid_quad(law, u, delta, tol=1e-3, shifts=_shift_indices):
+    """The shift-grid energy of u on (0, 1), as (value, error_estimate).  The grid
+    starts at 2^13 points, or finer until a cell is 0.05 delta / Lip."""
+    lip = float(np.max(np.abs(np.diff(u(np.linspace(0.0, 1.0, 4097)))))) * 4096
+    n = 1 << 13
+    while 1.0 / n > 0.05 * delta / lip:
+        n *= 2
+    prev = None
+    while True:
+        samples = np.asarray(u(np.linspace(0.0, 1.0, n + 1)), dtype=float)
+        val, outer = _shift_grid_level(law, samples, 1.0 / n, delta, tol, shifts)
+        if prev is not None:
+            err = abs(val - prev) + outer
+            if err <= tol * max(1.0, abs(val)):
+                return val, err
+        assert n < 1 << 21, "the reference did not reach tol"
+        prev, n = val, 2 * n
+
+
+def _measure_above_full_array(w, h, threshold):
+    """Fractional formula applied to every segment: the oracle for _measure_above."""
+    def frac(g0, g1):
+        lo = np.minimum(g0, g1)
+        hi = np.maximum(g0, g1)
+        denom = hi - lo
+        flat = denom == 0
+        safe = np.where(flat, 1.0, denom)
+        f = np.clip((hi - threshold) / safe, 0.0, 1.0)
+        return np.where(flat, (g0 > threshold).astype(float), f)
+
+    g0, g1 = w[:-1], w[1:]
+    return h * float(np.sum(frac(g0, g1) + frac(-g0, -g1)))
+
+
+class TestMeasureAbove:
+    @pytest.mark.parametrize("kind", ["random", "plateau", "exact-threshold"])
+    def test_matches_full_array_formula(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 3000))
+            if kind == "random":
+                t = abs(float(rng.normal()))
+                w = rng.normal(size=n)
+            elif kind == "plateau":
+                # runs of equal values give segments with g0 == g1
+                t = float(rng.integers(0, 4)) / 3.0
+                w = np.repeat(np.round(rng.normal(size=n) * 3.0) / 3.0,
+                              rng.integers(1, 4, size=n))
+            else:
+                # samples equal to +-threshold give segments with lo == threshold
+                t = 0.1 * float(rng.integers(1, 5))
+                w = rng.choice([2.0 * t, t, 0.5 * t, 0.0, -t, -2.0 * t], size=n)
+            want = _measure_above_full_array(w, 1e-3, t)
+            got = _measure_above(w, 1e-3, t)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_whole_segments(self):
+        w = np.array([0.0, 2.0, 2.0, 0.0, -2.0, -2.0])
+        # above 1 on [0.5, 2.5] and below -1 on [3.5, 5]
+        assert _measure_above(w, 1.0, 1.0) == 3.5
+
+
+def _shift_indices_ratio_1005(n, tol=None):
+    """The fixed shift grid used for every tol before the grid was sized by tol."""
+    js = list(range(1, min(64, n) + 1))
+    j = js[-1]
+    while j < n:
+        j = max(j + 1, int(j * 1.005))
+        js.append(min(j, n))
+    return np.unique(np.asarray(js, dtype=int))
+
+
+class TestShiftIndices:
+    """The shift grid of the reference has ratio 1 + sqrt(tol)/2, which is 1.005 at
+    tol = 1e-4, and lambda_quad agrees with the reference on the fixed 1.005 grid."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 8191, 8192, 131071, 131072,
+                                   (1 << 21) - 1, 1 << 21])
+    def test_tol_1e4_gives_the_fixed_grid(self, n):
+        got = _shift_indices(n, 1e-4)
+        want = _shift_indices_ratio_1005(n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("n", [1, 2, 100, 8192, 131072])
+    def test_nodes_cover_every_shift_range(self, tol, n):
+        js = _shift_indices(n, tol)
+        ratio = 1.0 + math.sqrt(tol) / 2
+        assert js[0] == 1 and js[-1] == n
+        steps = np.diff(js)
+        assert np.all(steps > 0)
+        assert np.all(steps <= np.maximum(1.0, (ratio - 1.0) * js[:-1]))
+
+    @pytest.mark.parametrize("law", [ModelLaw(1), AffineThetaLaw()])
+    @pytest.mark.parametrize("delta", [0.1, 0.01])
+    def test_agrees_with_fixed_grid_within_estimates(self, law, delta):
+        got = lambda_quad(law, _bump, (0.0, 1.0), delta)
+        want, want_est = _shift_grid_quad(law, _bump, delta,
+                                          shifts=_shift_indices_ratio_1005)
+        assert abs(got.value - want) <= got.error_estimate + want_est
+
+    def test_tol_1e4_result_is_bit_identical(self):
+        got = _shift_grid_quad(AffineThetaLaw(), _bump, 0.1, tol=1e-4)
+        want = _shift_grid_quad(AffineThetaLaw(), _bump, 0.1, tol=1e-4,
+                                shifts=_shift_indices_ratio_1005)
+        assert got == want
+
+
 class TestGeometricConstant:
     def test_exact_dimensions(self):
         assert geometric_constant(1).value == 2.0
