@@ -118,14 +118,30 @@ def telescopic_margin(lengths, a: int, b: int) -> float:
 
 
 def random_length_tuple(rng, n: int, a: int) -> np.ndarray:
-    """n lognormal lengths, each zeroed with probability 0.3, redrawn until in_domain(., a)
-    (lognormal entries are positive, so only a run of a zeros can fail it)."""
-    while True:
-        vals = rng.lognormal(0.0, 1.0, size=n)
-        mask = rng.random(n) < 0.3
-        if b"\x01" * a not in mask.tobytes():
-            vals[mask] = 0.0
-            return vals
+    """n lognormal lengths, each zeroed with probability 0.3, conditioned on in_domain(., a).
+
+    The lengths are positive, so the zero mask alone decides: no run of
+    min(a, n) zeros.  It is drawn exactly, without redraws: with back[i][r] the
+    probability that entries i..n-1 keep every run below a after a run of r,
+    entry i is zero iff its uniform is below 0.3 * back[i+1][r+1] / back[i][r].
+    The draws are ``rng.lognormal(0, 1, n)``, then ``rng.random(n)``.
+    """
+    if n < 1 or a < 1:
+        raise ValueError("need n >= 1 and a >= 1")
+    a = min(a, n)
+    back = [[1.0] * a for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        nxt = back[i + 1]
+        back[i] = [0.7 * nxt[0] + (0.3 * nxt[r + 1] if r + 1 < a else 0.0) for r in range(a)]
+    vals = rng.lognormal(0.0, 1.0, size=n)
+    run = 0
+    for i, u in enumerate(rng.random(n).tolist()):
+        if run + 1 < a and u < 0.3 * back[i + 1][run + 1] / back[i][run]:
+            vals[i] = 0.0
+            run += 1
+        else:
+            run = 0
+    return vals
 
 
 def suite_telescope(rng, count: int) -> tuple:
@@ -214,7 +230,7 @@ class MinProblem:
 
 @dataclass
 class MinResult:
-    value: float           # objective of the minimizer below
+    value: float           # objective of the minimizer below (the closed form if certified)
     minimizer: np.ndarray  # normalized to unit sum
     starts: int
     winning_seed: str      # e.g. "period-3", "smooth-start-17"
@@ -333,14 +349,16 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     """Least objective value over pattern seeds and multi-start descent.
 
     A law with a certified minimum (``_certified_minimum``) returns its
-    attaining pattern at once, unpolished, and the value is exact.  Otherwise
-    every pattern seed and ``starts`` lognormal starts are polished by
-    ``_polish``, a numpy L-BFGS, and the value is an upper bound for the infimum.
+    attaining pattern at once, unpolished, with the closed form as the value.
+    Otherwise every pattern seed and ``starts`` lognormal starts are polished
+    by ``_polish``, a numpy L-BFGS, and the value is an upper bound for the
+    infimum.
     """
     certificate = _certified_minimum(problem)
     if certificate is not None:
-        pattern = certificate[1] / certificate[1].sum()
-        value, tag = problem.objective(pattern), f"period-{problem.min_index}"
+        value, pattern = certificate
+        pattern = pattern / pattern.sum()
+        tag = f"period-{problem.min_index}"
         return MinResult(value, pattern, starts=1, winning_seed=tag, traces=[(tag, [value])],
                          certified="block-sum AM-GM bound")
 

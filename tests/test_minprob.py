@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -24,26 +25,6 @@ from bvgamma.minprob import (
 
 length_tuples = st.integers(4, 16).flatmap(lambda n: st.lists(
     st.floats(0.0, 5.0), min_size=n, max_size=n))
-
-
-def random_admissible(rng, n, k):
-    """Lognormal lengths, each zeroed with probability 0.3, with no k zeros in a row.
-
-    The lengths are positive, so only the zero mask decides admissibility:
-    masks are drawn 256 at a time, their zero runs read from one cumsum of
-    the nonzero counts, and the lengths drawn once, for the first accepted mask.
-    """
-    while True:
-        zero = rng.random((256, n)) < 0.3
-        nonzeros = np.zeros((256, n + 1), dtype=np.int64)
-        np.cumsum(~zero, axis=1, out=nonzeros[:, 1:])
-        # a window of k entries is all zero iff the count does not grow across it
-        accepted = np.flatnonzero(np.all(nonzeros[:, k:] > nonzeros[:, :-k], axis=1))
-        if len(accepted):
-            l = rng.lognormal(0.0, 1.0, n)
-            l[zero[accepted[0]]] = 0.0
-            assert in_domain(l, k)
-            return l
 
 
 def _in_domain_convolve(lengths, k):
@@ -164,22 +145,51 @@ class TestRandomLengthTuple:
             lengths = np.where(mask, 0.0, rng.lognormal(0.0, 1.0, n))
             assert (b"\x01" * a not in mask.tobytes()) == in_domain(lengths, a)
 
-    def test_same_draws_as_redrawing_whole_tuples(self):
-        # the earlier sampler: zero the tuple, test it, redraw it whole
-        ours, theirs = np.random.default_rng(32), np.random.default_rng(32)
-        for _ in range(500):
-            n = int(ours.integers(4, 25))
-            a = int(ours.integers(1, min(4, n - 1) + 1))
-            assert (n, a) == (int(theirs.integers(4, 25)),
-                              int(theirs.integers(1, min(4, n - 1) + 1)))
-            got = random_length_tuple(ours, n, a)
-            while True:
-                want = theirs.lognormal(0.0, 1.0, size=n)
-                want[theirs.random(n) < 0.3] = 0.0
-                if in_domain(want, a):
-                    break
-            assert got.tobytes() == want.tobytes()
-        assert ours.random() == theirs.random()
+    def test_mask_distribution_matches_exact_enumeration(self):
+        # every (n, a) with n <= 8 and 1 <= a <= min(4, n - 1): the zero masks
+        # drawn against 0.3^z 0.7^(n-z) / Z over the admissible masks, cells
+        # expected below 5 times pooled into one; the chi-square statistics and
+        # degrees of freedom add over the independent cases, and the bound is
+        # the normal upper 5-sigma point of the total
+        rng, twin = np.random.default_rng(35), np.random.default_rng(35)
+        draws, chi2, dof = 3000, 0.0, 0
+        for n in range(2, 9):
+            for a in range(1, min(4, n - 1) + 1):
+                exact = {}
+                for mask in itertools.product((False, True), repeat=n):
+                    if b"\x01" * a not in bytes(mask):
+                        z = sum(mask)
+                        exact[mask] = 0.3 ** z * 0.7 ** (n - z)
+                total = math.fsum(exact.values())
+                seen = Counter()
+                for _ in range(draws):
+                    l = random_length_tuple(rng, n, a)
+                    want = twin.lognormal(0.0, 1.0, n)
+                    twin.random(n)
+                    assert in_domain(l, a)
+                    assert np.all((l == 0.0) | (l == want))
+                    seen[tuple((l == 0.0).tolist())] += 1
+                assert set(seen) <= set(exact)
+                expected = {m: draws * p / total for m, p in exact.items()}
+                rare = [m for m in exact if expected[m] < 5]
+                cells = [(seen[m], expected[m]) for m in exact if expected[m] >= 5]
+                if rare:
+                    cells.append((sum(seen[m] for m in rare), sum(expected[m] for m in rare)))
+                chi2 += sum((o - e) ** 2 / e for o, e in cells)
+                dof += len(cells) - 1
+        assert dof > 200
+        assert chi2 < dof + 5 * math.sqrt(2 * dof), (chi2, dof)
+
+    def test_window_as_long_as_the_tuple_needs_one_positive_entry(self):
+        rng = np.random.default_rng(36)
+        for n in range(1, 4):
+            for a in range(n, n + 3):
+                masks = {tuple(random_length_tuple(rng, n, a) == 0.0) for _ in range(300)}
+                assert (True,) * n not in masks
+                assert len(masks) == 2 ** n - 1
+        for n, a in [(0, 1), (3, 0)]:
+            with pytest.raises(ValueError):
+                random_length_tuple(rng, n, a)
 
 
 class TestLogCost:
@@ -189,7 +199,7 @@ class TestLogCost:
     def test_scale_invariant(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            l = random_admissible(rng, 10, 2)
+            l = random_length_tuple(rng, 10, 2)
             assert log_cost(7.3 * l, 2) == pytest.approx(log_cost(l, 2), rel=1e-12)
 
     def test_period3_beats_all_equal(self):
@@ -214,7 +224,7 @@ class TestPowerCost:
         for _ in range(200):
             n = int(rng.integers(4, 16))
             k = int(rng.integers(1, 4))
-            l = random_admissible(rng, n, k)
+            l = random_length_tuple(rng, n, k)
             p = float(rng.uniform(1.01, 4.0))
             assert power_cost(l, k, p) >= -1e-12
 
@@ -223,7 +233,7 @@ class TestPowerCost:
         for _ in range(100):
             n = int(rng.integers(4, 12))
             k = int(rng.integers(1, 3))
-            l = random_admissible(rng, n, k)
+            l = random_length_tuple(rng, n, k)
             l = l / l.sum()
             a = power_cost(l, k, 1.0 + 1e-6)
             b = log_cost(l, k)
@@ -240,7 +250,7 @@ class TestTelescopic:
         for _ in range(200):
             n = int(rng.integers(4, 20))
             a = int(rng.integers(1, min(4, n - 1) + 1))
-            l = random_admissible(rng, n, a)
+            l = random_length_tuple(rng, n, a)
             assert telescopic_margin(l, a, a) == 0.0
 
     def test_nonnegative_margins(self):
@@ -248,11 +258,23 @@ class TestTelescopic:
         for _ in range(5000):
             n = int(rng.integers(4, 25))
             a = int(rng.integers(1, min(4, n - 1) + 1))
-            l = random_admissible(rng, n, a)
+            l = random_length_tuple(rng, n, a)
             b = int(rng.integers(a, n))
             margin = telescopic_margin(l, a, b)
             assert margin >= -1e-10
             assert margin == _telescopic_margin_per_cost(l, a, b)
+
+    def test_suite_ends_at_a_nonzero_equality_margin(self, monkeypatch):
+        calls = []
+
+        def margin(lengths, a, b):
+            calls.append(a == b)
+            return 1e-300 if a == b else 1.0
+
+        monkeypatch.setattr(minprob, "telescopic_margin", margin)
+        worst, witness = minprob.suite_telescope(np.random.default_rng(0), 1000)
+        assert worst == 1e-300 and witness["reason"] == "b=a margin not exactly zero"
+        assert calls.index(True) == len(calls) - 1
 
     def test_package_mean_bound(self):
         # summing the costs over a dyadic package bounds below by the
@@ -317,7 +339,7 @@ class TestValueAndGrad:
         for _ in range(200):
             n = int(rng.integers(law.steps[-1][0] + 1, 21))
             pb = MinProblem(n=n, law=law)
-            l = random_admissible(rng, n, pb.min_index)
+            l = random_length_tuple(rng, n, pb.min_index)
             value, grad = pb.value_and_grad(l)
             assert value == pb.objective(l)
             assert value == math.fsum(w * log_cost(l, k) for k, w in law.steps)
@@ -412,6 +434,12 @@ class TestMinimize:
         assert res.minimizer.tobytes() == (_period_pattern(n, k) / (n // k)).tobytes()
         assert res.value == pytest.approx((n // k - 1) * math.log(4.0), rel=1e-12)
         assert res.traces == [(res.winning_seed, [res.value])]
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_certified_value_is_the_closed_form(self, n):
+        # the cost of the normalized pattern is one ulp off at these n
+        res = minimize(MinProblem(n=n, law=ModelLaw(1)), starts=0)
+        assert float.hex(res.value) == float.hex((n - 1) * math.log(4.0))
 
     def test_polish_reaches_the_phi1_minimum_from_smooth_starts(self):
         # minimize certifies phi1 without a search, so the descent is checked on its own
@@ -512,7 +540,7 @@ class TestCertifiedMinimum:
             bound = _certified_minimum(MinProblem(n=n, law=ModelLaw(k)))[0]
             assert bound == (n // k - 1) * math.log(4.0)
             if draw % 2:
-                l = random_admissible(rng, n, k)
+                l = random_length_tuple(rng, n, k)
             else:
                 # near the minimum: a jittered period-k pattern with a light fill
                 l = _period_pattern(n, k) * rng.lognormal(0.0, 0.1, n)
