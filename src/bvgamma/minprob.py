@@ -7,9 +7,7 @@ tuples without too many consecutive zeros drives the shape-factor bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +27,16 @@ __all__ = [
 
 
 def window_sums(lengths, k: int) -> np.ndarray:
-    """Sums of k consecutive entries: entry i covers lengths[i .. i+k-1]."""
+    """Sums of k consecutive entries along the last axis: entry i covers [..., i .. i+k-1]."""
     lengths = np.asarray(lengths, dtype=float)
-    n = len(lengths)
+    n = lengths.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"window size {k} out of range for {n} entries")
-    # direct sliding sums; cumulative-sum differences would cancel windows of
-    # tiny entries against their large neighbors
-    return np.convolve(lengths, np.ones(k), mode="valid")
+    # direct sliding sums over the flattened rows, keeping each row's own windows, which
+    # are bitwise its 1-D sums; cumulative-sum differences would cancel windows of tiny
+    # entries against their large neighbors
+    flat = np.convolve(lengths.ravel(), np.ones(k), mode="valid")
+    return np.append(flat, np.zeros(k - 1)).reshape(lengths.shape)[..., :n - k + 1]
 
 
 def in_domain(lengths, k: int) -> bool:
@@ -68,7 +68,7 @@ def in_domain(lengths, k: int) -> bool:
 
 def _log_terms(s_k, s_k1) -> np.ndarray:
     # log-difference form: safe for window sums spanning many magnitudes
-    return 2.0 * np.log(s_k1) - np.log(s_k[:-1]) - np.log(s_k[1:])
+    return 2.0 * np.log(s_k1) - np.log(s_k[..., :-1]) - np.log(s_k[..., 1:])
 
 
 def log_cost(lengths, k: int) -> float:
@@ -195,21 +195,29 @@ class MinProblem:
         return self.value_and_grad(lengths)[1]
 
     def value_and_grad(self, lengths) -> tuple:
-        """Objective value and its analytic gradient, from one set of window sums."""
-        lengths = np.asarray(lengths, dtype=float)
+        """Objective value and its analytic gradient: ``_rows`` on one row."""
+        values, grads = self._rows(np.asarray(lengths, dtype=float)[None])
+        return float(values[0]), grads[0]
+
+    def _rows(self, lengths: np.ndarray) -> tuple:
+        """Objective values and gradients of the rows of a (B, n) stack.
+
+        Every reduction runs along a row, so each row's results are bitwise
+        those of the row alone.
+        """
         n, mu = self.n, self.min_index
-        if len(lengths) != n:
+        if lengths.shape[-1] != n:
             raise ValueError(f"expected {n} lengths")
         sums = {j: window_sums(lengths, j) for k, _ in self.law.steps for j in (k, k + 1)}
-        # in_domain(lengths, mu), read from the windows of size mu
+        # in_domain(row, mu) for every row, read from the windows of size mu
         if np.any(lengths < 0) or not np.all(sums[mu] > 0):
             raise ValueError(f"tuple outside the domain (zero run of {mu})")
         costs = []
-        grad = np.zeros(n)
+        grad = np.zeros(lengths.shape)
         for k, w in self.law.steps:
             w = float(w)
             s_k, s_k1 = sums[k], sums[k + 1]
-            costs.append(w * math.fsum(_log_terms(s_k, s_k1)))
+            costs.append([w * math.fsum(t) for t in _log_terms(s_k, s_k1).tolist()])
             # range-add via difference arrays: each window sum S_{i,l}
             # contributes its reciprocal to positions i .. i+l-1; the slice
             # updates keep the order of a loop over the windows i, so every
@@ -217,15 +225,15 @@ class MinProblem:
             m = n - k
             r1 = w * (2.0 / s_k1)
             rk = w * (1.0 / s_k)
-            diff = np.zeros(n + 1)
-            diff[k + 1:k + 1 + m] -= r1
-            diff[:m] += r1
-            diff[k + 1:k + 1 + m] += rk[1:]
-            diff[k:k + m] += rk[:m]
-            diff[1:1 + m] -= rk[1:]
-            diff[:m] -= rk[:m]
-            grad += np.cumsum(diff[:-1])
-        return math.fsum(costs), grad
+            diff = np.zeros((len(lengths), n + 1))
+            diff[:, k + 1:k + 1 + m] -= r1
+            diff[:, :m] += r1
+            diff[:, k + 1:k + 1 + m] += rk[:, 1:]
+            diff[:, k:k + m] += rk[:, :m]
+            diff[:, 1:1 + m] -= rk[:, 1:]
+            diff[:, :m] -= rk[:, :m]
+            grad += np.cumsum(diff[:, :-1], axis=1)
+        return np.array([math.fsum(c) for c in zip(*costs)]), grad
 
 
 @dataclass
@@ -252,61 +260,71 @@ class MinResult:
         }
 
 
-def _polish(problem: MinProblem, start: np.ndarray, trace: list) -> tuple:
-    """L-BFGS descent in log coordinates, restricted to the support of start.
+def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
+    """One L-BFGS descent in log coordinates for all rows of ``starts``, each on its support.
 
-    The two-loop recursion keeps the last 10 pairs with s.y > 0; a backtracking
-    Armijo search tries first a step that moves no coordinate by more than 50.
-    The descent stops at max|gradient| <= 1e-13, at a relative decrease <= 1e-16
-    (the ``ftol`` test of L-BFGS-B), or after 1000 iterations.  ``trace`` gets
-    the start's value, then the value after each iteration.
+    The rows descend together, but each runs as if alone: every reduction is
+    row-wise, so a row's trace and minimizer are bitwise what polishing it
+    alone gives, and entries off its support stay exactly 0.  Per row, the
+    two-loop recursion keeps the last 10 pairs with s.y > 0 (an empty slot has
+    s = y = 0 and rho = 0, a no-op); a backtracking Armijo search, which
+    re-evaluates only the rows that reject their step, tries first a step that
+    moves no coordinate by more than 50.  A row stops at max|gradient| <= 1e-13,
+    at a relative decrease <= 1e-16 (the ``ftol`` test of L-BFGS-B), or after
+    1000 iterations.  Returns each row's value and unit-sum minimizer, and its
+    trace: the start's value, then the value after each iteration.
     """
-    support = np.flatnonzero(start > 0)
+    support = np.asarray(starts) > 0
 
-    def split(x):
-        full = np.zeros(problem.n)
+    def fun(x, on):
         # clamp so supported entries never underflow to exact zero
-        full[support] = np.exp(np.clip(x, -600.0, 600.0))
-        return full
+        full = np.where(on, np.exp(np.clip(x, -600.0, 600.0)), 0.0)
+        values, grads = problem._rows(full)
+        return values, np.where(on, grads * full, 0.0)
 
-    def fun(x):
-        full = split(x)
-        value, grad = problem.value_and_grad(full)
-        return value, grad[support] * full[support]
+    def dot(a, b):
+        return (a * b).sum(axis=-1)
 
-    x = np.log(start[support])
-    f, g = fun(x)
-    trace.append(f)
-    pairs = deque(maxlen=10)  # (s, y, 1 / s.y), oldest first
+    rows, on, live = np.arange(len(support)), support, np.ones(len(support), bool)
+    x = out = np.log(np.where(on, starts, 1.0))
+    f, g = fun(x, on)
+    traces = [[v] for v in f.tolist()]
+    S, Y = np.zeros((2, len(on), 10, problem.n))  # pair slots, oldest first
+    R = np.zeros((len(on), 10))                    # 1 / s.y, 0 in an empty slot
     for _ in range(1000):
-        if np.max(np.abs(g)) <= 1e-13:
+        keep = live & ~(np.max(np.abs(g), axis=1) <= 1e-13)
+        rows, x, f, g, on, S, Y, R = (a[keep] for a in (rows, x, f, g, on, S, Y, R))
+        if not len(rows):
             break
-        d, alphas = -g, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
-            d = d - alphas[-1] * y
-        if pairs:
-            s, y, rho = pairs[-1]
-            d = d / (rho * (y @ y))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d = d + (a - rho * (y @ d)) * s
-        t = min(1.0, 50.0 / np.max(np.abs(d)))
-        f_new, g_new = fun(x + t * d)
-        # t = 0 passes, so this ends; a step of no decrease then stops the descent
-        while not f_new <= f + 1e-4 * t * (g @ d):
-            t *= 0.5
-            f_new, g_new = fun(x + t * d)
-        s, y = t * d, g_new - g
-        if s @ y > 0:
-            pairs.append((s, y, 1.0 / (s @ y)))
-        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        d, alphas, used = -g, [], range(10 - np.count_nonzero(R.any(axis=0)), 10)
+        for j in reversed(used):
+            alphas.append(R[:, j] * dot(S[:, j], d))
+            d = d - alphas[-1][:, None] * Y[:, j]
+        d = d / np.where(R[:, 9] > 0, R[:, 9] * dot(Y[:, 9], Y[:, 9]), 1.0)[:, None]
+        for j, a in zip(used, reversed(alphas)):
+            d = d + (a - R[:, j] * dot(Y[:, j], d))[:, None] * S[:, j]
+        t, gd = np.minimum(1.0, 50.0 / np.max(np.abs(d), axis=1)), dot(g, d)
+        f_new, g_new = fun(x + t[:, None] * d, on)
+        # t = 0 passes, so this ends; a step of no decrease then stops the row
+        bad = ~(f_new <= f + 1e-4 * t * gd)
+        while bad.any():
+            t[bad] *= 0.5
+            f_new[bad], g_new[bad] = fun(x[bad] + t[bad, None] * d[bad], on[bad])
+            bad[bad] = ~(f_new[bad] <= f[bad] + 1e-4 * t[bad] * gd[bad])
+        s, y = t[:, None] * d, g_new - g
+        sy = dot(s, y)
+        new = sy > 0
+        for slots, v in ((S, s), (Y, y), (R, 1.0 / np.where(new, sy, 1.0))):
+            slots[new, :-1] = slots[new, 1:]
+            slots[new, -1] = v[new]
+        live = ~((f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0) <= 1e-16)
         x, f, g = x + s, f_new, g_new
-        trace.append(f)
-        if decrease <= 1e-16:
-            break
-    best = split(x)
-    best /= best.sum()
-    return float(problem.objective(best)), best
+        out[rows] = x
+        for r, v in zip(rows.tolist(), f.tolist()):
+            traces[r].append(v)
+    best = np.where(support, np.exp(np.clip(out, -600.0, 600.0)), 0.0)
+    best /= best.sum(axis=1, keepdims=True)
+    return problem._rows(best)[0].tolist(), best, traces
 
 
 def _pattern_seeds(problem: MinProblem):
@@ -350,9 +368,9 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
 
     A law with a certified minimum (``_certified_minimum``) returns its
     attaining pattern at once, unpolished, with the closed form as the value.
-    Otherwise every pattern seed and ``starts`` lognormal starts are polished
-    by ``_polish``, a numpy L-BFGS, and the value is an upper bound for the
-    infimum.
+    Otherwise every pattern seed and ``starts`` lognormal starts are the rows
+    of one batched ``_polish``, a numpy L-BFGS whose rows run as if alone, and
+    the value is an upper bound for the infimum.
     """
     certificate = _certified_minimum(problem)
     if certificate is not None:
@@ -363,17 +381,15 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
                          certified="block-sum AM-GM bound")
 
     rng = np.random.default_rng(seed)
-    smooth = ((f"smooth-start-{s}", rng.lognormal(mean=0.0, sigma=1.0, size=problem.n))
-              for s in range(starts))
+    tags, seeds = map(list, zip(*_pattern_seeds(problem)))
+    tags += [f"smooth-start-{s}" for s in range(starts)]
+    stack = np.vstack(seeds + [rng.lognormal(mean=0.0, sigma=1.0, size=(starts, problem.n))])
+    values, args, traces = _polish(problem, stack)
     best_val, best_arg, best_tag = math.inf, None, None
-    traces = []
-    for tag, start in itertools.chain(_pattern_seeds(problem), smooth):
-        trace = []
-        val, arg = _polish(problem, start, trace)
-        traces.append((tag, trace))
+    for tag, val, arg in zip(tags, values, args):
         tol = 1e-12 * max(1.0, abs(val))
         # a tie goes to the sparser minimizer (exact zeros are informative)
         if val < best_val - tol or (val <= best_val + tol and best_arg is not None
                                     and np.count_nonzero(arg) < np.count_nonzero(best_arg)):
             best_val, best_arg, best_tag = val, arg, tag
-    return MinResult(best_val, best_arg, len(traces), best_tag, traces)
+    return MinResult(best_val, best_arg, len(tags), best_tag, list(zip(tags, traces)))

@@ -79,13 +79,19 @@ def test_verify_workload_leaves_scipy_unloaded(tmp_path):
 def test_uncertified_sweep_still_polishes(runner, monkeypatch):
     # psi:2 has no certified minimum, so every start is polished, and the
     # polish loads no scipy
-    calls = []
-    polish = minprob._polish
-    monkeypatch.setattr(minprob, "_polish", lambda *a: calls.append(a) or polish(*a))
+    rows, results = [], []
+    polish, minimize = minprob._polish, minprob.minimize
+    monkeypatch.setattr(minprob, "_polish", lambda pb, starts: rows.append(len(starts))
+                        or polish(pb, starts))
+    monkeypatch.setattr(minprob, "minimize", lambda *a, **k: results.append(minimize(*a, **k))
+                        or results[-1])
     result = runner.invoke(main, ["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP])
     assert result.exit_code == 0
     problem = minprob.MinProblem(8, PackagedDyadicLaw((1, 1)))
-    assert len(calls) == len(list(minprob._pattern_seeds(problem))) + 16
+    # one batched polish whose rows are every pattern seed and every start
+    (res,) = results
+    assert rows == [len(list(minprob._pattern_seeds(problem))) + 16]
+    assert rows == [res.starts] == [len(res.traces)]
     assert _scipy_modules_after(["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP]) == []
     assert _scipy_modules_after(["--json", "bounds", "factor", "--law", "psi:2"]) == []
 

@@ -105,6 +105,17 @@ class TestWindowSums:
         for i in range(n - k):
             assert s_k1[i] == pytest.approx(s_k[i] + lengths[i + k], abs=1e-12)
 
+    def test_rows_of_a_stack_are_bitwise_their_own_sums(self):
+        rng = np.random.default_rng(35)
+        for n in range(1, 41):
+            stack = rng.lognormal(0.0, 1.0, (5, n))
+            stack[rng.random((5, n)) < 0.3] = 0.0
+            for k in range(1, n + 1):
+                sums = window_sums(stack, k)
+                assert sums.shape == (5, n - k + 1)
+                for row, expected in zip(sums, stack):
+                    assert row.tobytes() == window_sums(expected, k).tobytes()
+
 
 class TestDomain:
     def test_examples(self):
@@ -445,10 +456,27 @@ class TestMinimize:
         # minimize certifies phi1 without a search, so the descent is checked on its own
         pb = MinProblem(n=8, law=ModelLaw(1))
         rng = np.random.default_rng(34)
-        for _ in range(4):
-            value, arg = minprob._polish(pb, rng.lognormal(0.0, 1.0, 8), [])
+        values, args, _ = minprob._polish(pb, rng.lognormal(0.0, 1.0, (4, 8)))
+        for value, arg in zip(values, args):
             assert value == pytest.approx(7 * math.log(4.0), rel=1e-10)
             assert np.max(np.abs(arg - 1.0 / 8)) < 1e-6
+
+    @pytest.mark.parametrize("law,n", [(PackagedDyadicLaw((1, 1)), 12), (ModelLaw(3), 10),
+                                       (PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)), 12)],
+                             ids=repr)
+    def test_polished_row_does_not_depend_on_its_batch_mates(self, law, n):
+        pb = MinProblem(n=n, law=law)
+        rng = np.random.default_rng(36)
+        seeds = [seed for _, seed in minprob._pattern_seeds(pb)]
+        stack = rng.permutation(np.vstack(seeds + [rng.lognormal(0.0, 1.0, (8, n))]))
+        values, args, traces = minprob._polish(pb, stack)
+        assert len(values) == len(args) == len(traces) == len(seeds) + 8
+        for start, value, arg, trace in zip(stack, values, args, traces):
+            (alone,), (alone_arg,), (alone_trace,) = minprob._polish(pb, start[None])
+            assert float.hex(value) == float.hex(alone)
+            assert arg.tobytes() == alone_arg.tobytes()
+            assert np.array(trace).tobytes() == np.array(alone_trace).tobytes()
+            assert np.all(arg[start == 0] == 0.0)
 
     # minimize(MinProblem(n, law), starts=16, seed=0) as recorded with scipy's
     # L-BFGS-B polish: (law, n, value, winning seed, or None where only the value
@@ -478,12 +506,16 @@ class TestMinimize:
             assert res.winning_seed == seed
 
     def test_uncertified_law_polishes_every_start(self, monkeypatch):
-        calls = []
+        rows = []
         polish = minprob._polish
-        monkeypatch.setattr(minprob, "_polish", lambda *a: calls.append(a) or polish(*a))
-        res = minimize(MinProblem(n=10, law=ModelLaw(3)), starts=4, seed=0)
+        monkeypatch.setattr(minprob, "_polish", lambda pb, starts: rows.append(len(starts))
+                            or polish(pb, starts))
+        pb = MinProblem(n=10, law=ModelLaw(3))
+        res = minimize(pb, starts=4, seed=0)
         assert res.certified is None
-        assert len(calls) == res.starts == len(res.traces) > 4
+        # one batched polish whose rows are every pattern seed and every start
+        assert rows == [len(list(minprob._pattern_seeds(pb))) + 4]
+        assert rows == [res.starts] == [len(res.traces)]
 
 
 def _window_poly(n_vars, start, size):
