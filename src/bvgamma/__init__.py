@@ -16,8 +16,6 @@ from .laws import (
     ScaledLaw,
     TabulatedLaw,
     check_admissible,
-    law_from_json,
-    law_to_json,
     phi_eps,
     rescale,
 )

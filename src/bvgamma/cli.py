@@ -23,7 +23,6 @@ from .laws import (
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
     check_admissible,
-    law_from_json,
     phi_eps,
 )
 from .stepfn import StepFunction
@@ -55,11 +54,8 @@ def parse_law_spec(spec: str):
         if spec.startswith("zeta:@"):
             with open(spec[6:]) as fh:
                 doc = json.load(fh)
-            if "variant" in doc:
-                law = law_from_json(doc)
-                if not isinstance(law, DyadicAffineLaw):
-                    raise ValueError("zeta spec must name a dyadic-affine law")
-                return law
+            if doc.get("variant", "dyadic_affine") != "dyadic_affine":
+                raise ValueError("zeta spec must name a dyadic-affine law")
             return DyadicAffineLaw(tuple((int(z), float(v)) for z, v in doc["nodes"]))
         if spec.startswith("phieps:"):
             return phi_eps(float(spec[7:]))

@@ -16,12 +16,12 @@ small near the origin.  Several concrete families are supported:
 
 Every law evaluates on scalars or numpy arrays, states itself once as a
 measure of thresholds (law(t) = mu((0, t))), knows its scale factor (the
-integral of law(t)/t^2 over (0, inf)), and serializes to JSON.
+integral of law(t)/t^2 over (0, inf)), and has its admissibility decided exactly
+from that measure.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +42,6 @@ __all__ = [
     "check_admissible",
     "rescale",
     "phi_eps",
-    "law_to_json",
-    "law_from_json",
 ]
 
 
@@ -57,11 +55,7 @@ def _as_fraction(x):
 
 
 class InteractionLaw:
-    """Base class; concrete laws implement __call__, threshold_measure and upper_bound."""
-
-    #: structurally bounded; only tabulated laws with an extrapolating tail
-    #: can be unbounded
-    bounded = True
+    """Base class; concrete laws implement __call__ and threshold_measure."""
 
     def __call__(self, t):
         raise NotImplementedError
@@ -79,16 +73,16 @@ class InteractionLaw:
         """Exact rational scale factor when one exists, else None."""
         return None
 
-    def upper_bound(self) -> float:
-        """A constant bounding the law from above (sup of its values)."""
-        raise NotImplementedError
-
     def threshold_measure(self) -> tuple:
         """The law as a measure mu of thresholds: law(t) = mu((0, t)).
 
         Returns (atoms, densities): each atom (s, w) is a mass w at s, and each density
-        (s0, s1, c, p) is c * s^p ds on (s0, s1), with s1 possibly inf.  A pair with
-        |u(y) - u(x)| / delta = t counts each threshold below t.
+        (s0, s1, c, p) is c * s^p ds on (s0, s1), with s1 possibly inf and p > -1.  A
+        pair with |u(y) - u(x)| / delta = t counts each threshold below t.
+
+        Contract: atoms are sorted by s, and density pieces have s0 < s1, are disjoint
+        and sorted by s0, with no atom inside a piece.  So mu((0, t)) on a piece is
+        B + C*t^(p+1), which the exact sup in check_admissible relies on.
         """
         raise NotImplementedError
 
@@ -124,9 +118,6 @@ class _StepWeightLaw(InteractionLaw):
                 return None
             total += fw / k
         return total
-
-    def upper_bound(self) -> float:
-        return float(math.fsum(w for _, w in self.steps))
 
     def threshold_measure(self) -> tuple:
         return tuple((float(k), float(w)) for k, w in self.steps), ()
@@ -207,9 +198,6 @@ class AffineThetaLaw(InteractionLaw):
         r = np.subtract(t, 1.0, out=np.empty(t.shape))
         return np.clip(r, 0.0, 1.0, out=r)[()]
 
-    def upper_bound(self) -> float:
-        return 1.0
-
     def threshold_measure(self) -> tuple:
         return (), ((1.0, 2.0, 1.0, 0.0),)
 
@@ -275,9 +263,6 @@ class DyadicAffineLaw(InteractionLaw):
                 out.append((z, d))
         return out
 
-    def upper_bound(self) -> float:
-        return self.nodes[-1][1]
-
     def threshold_measure(self) -> tuple:
         # the increment d at z is the ramp d * theta(t / 2^z)
         return (), tuple((2.0 ** z, 2.0 ** (z + 1), d / 2.0 ** z, 0.0)
@@ -296,10 +281,6 @@ class ScaledLaw(InteractionLaw):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("scaling constants must be positive")
 
-    @property
-    def bounded(self):
-        return self.inner.bounded
-
     def __call__(self, t):
         return self.alpha * self.inner(np.asarray(t, dtype=float) * self.beta)
 
@@ -309,9 +290,6 @@ class ScaledLaw(InteractionLaw):
         if inner is None or fa is None or fb is None:
             return None
         return fa * fb * inner
-
-    def upper_bound(self) -> float:
-        return self.alpha * self.inner.upper_bound()
 
     def threshold_measure(self) -> tuple:
         # the inner threshold s is the threshold s / beta, and ds = beta dr
@@ -354,12 +332,6 @@ class TabulatedLaw(InteractionLaw):
         if self.origin_power <= 1:
             raise ValueError("origin power must exceed 1 for an integrable head")
 
-    @property
-    def bounded(self):
-        if self.tail == "constant":
-            return True
-        return self.samples[-1] <= self.samples[-2]
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         ts = np.asarray(self.grid)
@@ -371,11 +343,6 @@ class TabulatedLaw(InteractionLaw):
             slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
             out = np.where(t > ts[-1], vs[-1] + slope * (t - ts[-1]), out)
         return out[()]
-
-    def upper_bound(self) -> float:
-        if not self.bounded:
-            return math.inf
-        return max(self.samples)
 
     def threshold_measure(self) -> tuple:
         ts, vs, p = self.grid, self.samples, self.origin_power
@@ -408,9 +375,6 @@ class QuadraticHeadLaw(InteractionLaw):
         head = np.clip(t, 0.0, 1.0)
         return np.where(t > 1.0, self._c, self._c * self.eps * head * head)[()]
 
-    def upper_bound(self) -> float:
-        return self._c
-
     def threshold_measure(self) -> tuple:
         # c*eps*t^2 has the density 2*c*eps*s, and the jump from c*eps to c sits at 1
         return (((1.0, self._c * (1.0 - self.eps)),),
@@ -422,161 +386,87 @@ def phi_eps(eps: float) -> QuadraticHeadLaw:
     return QuadraticHeadLaw(eps=eps)
 
 
+def _mass_below(measure, t, closed=False) -> float:
+    """mu((0, t)) of a threshold measure, or mu((0, t]) when closed, fsum'd."""
+    atoms, densities = measure
+    parts = [w for s, w in atoms if s < t or closed and s == t]
+    for s0, s1, c, p in densities:
+        top = min(t, s1)
+        if top > s0:
+            parts.append(c * (top ** (p + 1.0) - s0 ** (p + 1.0)) / (p + 1.0))
+    return math.fsum(parts)
+
+
+def _piece(density) -> str:
+    return f"density on ({density[0]:g}, {density[1]:g})"
+
+
 @dataclass
 class AdmissibilityReport:
-    """Grid-certified admissibility check result."""
+    """Admissibility decided exactly from a law's threshold measure.
 
-    grid: np.ndarray
-    monotone: bool
-    monotone_witness: tuple | None
-    quadratic_ok: bool
-    quadratic_coefficient: float | None
-    quadratic_witness: float | None
-    bounded_ok: bool
+    Each witness names the atom or density piece that breaks its condition, and is
+    None when the condition holds.  a is the least constant with law(t) <= a*t^2 on
+    (0, 1], and b = mu((0, inf)) the law's supremum; each is inf when its condition
+    fails.
+    """
+
+    monotone_witness: str | None
+    quadratic_witness: str | None
+    bounded_witness: str | None
+    quadratic_coefficient: float
     bound: float
-    bounded_witness: float | None
 
     @property
     def ok(self) -> bool:
-        return self.monotone and self.quadratic_ok and self.bounded_ok
+        return not (self.monotone_witness or self.quadratic_witness or self.bounded_witness)
 
     def summary(self) -> str:
-        lines = [
-            f"monotone: {'pass' if self.monotone else 'fail'}"
-            + (f" (witness t={self.monotone_witness})" if self.monotone_witness else ""),
-            f"quadratic near 0: {'pass' if self.quadratic_ok else 'fail'}"
-            + (f" (a={self.quadratic_coefficient:.6g})" if self.quadratic_ok else
-               f" (witness t={self.quadratic_witness})"),
-            f"bounded: {'pass' if self.bounded_ok else 'fail'}"
-            + (f" (b={self.bound:.6g})" if self.bounded_ok else
-               f" (witness t={self.bounded_witness})"),
-        ]
-        return "\n".join(lines)
+        def line(name, witness, value=""):
+            return f"{name}: fail ({witness})" if witness else f"{name}: pass{value}"
+
+        return "\n".join([
+            line("monotone", self.monotone_witness),
+            line("quadratic near 0", self.quadratic_witness,
+                 f" (a={self.quadratic_coefficient:.6g})"),
+            line("bounded", self.bounded_witness, f" (b={self.bound:.6g})"),
+        ])
 
 
-def check_admissible(law: InteractionLaw, grid=None) -> AdmissibilityReport:
-    """Certify admissibility conditions on a finite probe grid.
+def check_admissible(law: InteractionLaw) -> AdmissibilityReport:
+    """Decide the three admissibility conditions exactly from law.threshold_measure().
 
-    Checks (i) monotonicity on the grid, (ii) existence of a with
-    law(t) <= a*t^2 on [0,1] (reports the smallest grid-certified a),
-    (iii) boundedness (reports the grid sup as certificate b).
+    (i) Monotone: no atom or density has negative weight.  (ii) Quadratic near 0:
+    a = sup of mu((0, t)) / t^2 over (0, 1] is finite.  It is not when an atom sits at
+    0 or a density from 0 has p < 1.  Otherwise, on a density piece mu((0, t)) is
+    B + C*t^q with q = p + 1, whose ratio to t^2 has one stationary point, where
+    t^q = 2 (q mu((0, s0]) / c - s0^q) / (q - 2); so a is the largest of the right
+    limits at the breakpoints in (0, 1), the ratio at t = 1 and those stationary
+    points.  (iii) Bounded: no positive density reaches inf, and b = mu((0, inf)).
     """
-    if grid is None:
-        grid = np.unique(np.concatenate([
-            np.linspace(0.0, 1.0, 401),
-            np.geomspace(1e-6, 1.0, 200),
-            np.linspace(1.0, 64.0, 800),
-        ]))
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("probe grid must be nonempty")
-    vals = np.asarray(law(grid), dtype=float)
+    measure = atoms, densities = law.threshold_measure()
+    monotone = next(iter([f"atom at {s:g}" for s, w in atoms if w < 0]
+                         + [_piece(d) for d in densities if d[2] < 0]), None)
+    quadratic = next(iter([f"atom at {s:g}" for s, w in atoms if s == 0 and w > 0]
+                          + [_piece(d) for d in densities if d[0] == 0 and d[2] > 0
+                             and d[3] < 1]), None)
+    bounded = next((_piece(d) for d in densities if d[1] == math.inf and d[2] > 0), None)
 
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= -1e-15 * np.maximum(1.0, np.abs(vals[:-1]))))
-    witness = None
-    if not monotone:
-        i = int(np.argmin(diffs))
-        witness = (float(grid[i]), float(grid[i + 1]))
-
-    unit = (grid > 0) & (grid <= 1.0)
-    quad_ok = True
-    quad_a: float | None = 0.0
-    quad_witness = None
-    if vals[grid == 0.0].size and float(vals[grid == 0.0][0]) > 0:
-        quad_ok = False
-        quad_a = None
-        quad_witness = 0.0
-    elif unit.any():
-        ratios = vals[unit] / grid[unit] ** 2
-        quad_a = float(ratios.max(initial=0.0))
-
-    bound = float(vals.max())
-    bounded_ok = bool(law.bounded)
-    bounded_witness = None if bounded_ok else float(grid[-1])
-    if bounded_ok:
-        bound = max(bound, float(law.upper_bound()))
-
+    a = math.inf
+    if quadratic is None:
+        breaks = {s for s, _ in atoms} | {s for d in densities for s in d[:2]}
+        points = [(s, True) for s in breaks if 0 < s < 1] + [(1.0, False)]
+        for s0, s1, c, p in densities:
+            q = p + 1.0
+            if q != 2 and c:
+                x = 2.0 * (q * _mass_below(measure, s0, True) / c - s0 ** q) / (q - 2.0)
+                if x > 0 and s0 < x ** (1.0 / q) < min(s1, 1.0):
+                    points.append((x ** (1.0 / q), False))
+        a = max(_mass_below(measure, t, closed) / t ** 2 for t, closed in points)
     return AdmissibilityReport(
-        grid=grid,
-        monotone=monotone,
-        monotone_witness=witness,
-        quadratic_ok=quad_ok,
-        quadratic_coefficient=quad_a,
-        quadratic_witness=quad_witness,
-        bounded_ok=bounded_ok,
-        bound=bound,
-        bounded_witness=bounded_witness,
+        monotone_witness=monotone,
+        quadratic_witness=quadratic,
+        bounded_witness=bounded,
+        quadratic_coefficient=a,
+        bound=math.inf if bounded else _mass_below(measure, math.inf),
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def law_to_json(law: InteractionLaw) -> dict:
-    if isinstance(law, ModelLaw):
-        return {"variant": "model", "k": law.k}
-    if isinstance(law, PiecewiseConstantLaw):
-        return {"variant": "piecewise_constant", "weights": [float(w) for w in law.weights]}
-    if isinstance(law, PackagedDyadicLaw):
-        return {"variant": "packaged_dyadic", "packages": [float(a) for a in law.packages]}
-    if isinstance(law, AffineThetaLaw):
-        return {"variant": "affine_theta"}
-    if isinstance(law, DyadicAffineLaw):
-        return {
-            "variant": "dyadic_affine",
-            "nodes": [[z, v] for z, v in law.nodes],
-            "left_fill": "zero-left",
-            "right_fill": "constant-right",
-        }
-    if isinstance(law, ScaledLaw):
-        return {
-            "variant": "scaled",
-            "inner": law_to_json(law.inner),
-            "alpha": law.alpha,
-            "beta": law.beta,
-        }
-    if isinstance(law, QuadraticHeadLaw):
-        return {"variant": "quadratic_head", "eps": law.eps}
-    if isinstance(law, TabulatedLaw):
-        return {
-            "variant": "tabulated",
-            "grid": list(law.grid),
-            "samples": list(law.samples),
-            "origin_power": law.origin_power,
-            "tail": law.tail,
-        }
-    raise TypeError(f"cannot serialize {type(law).__name__}")
-
-
-def law_from_json(doc) -> InteractionLaw:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    variant = doc["variant"]
-    if variant == "model":
-        return ModelLaw(k=int(doc["k"]))
-    if variant == "piecewise_constant":
-        return PiecewiseConstantLaw(weights=tuple(doc["weights"]))
-    if variant == "packaged_dyadic":
-        return PackagedDyadicLaw(packages=tuple(doc["packages"]))
-    if variant == "affine_theta":
-        return AffineThetaLaw()
-    if variant == "dyadic_affine":
-        return DyadicAffineLaw(nodes=tuple((int(z), float(v)) for z, v in doc["nodes"]))
-    if variant == "scaled":
-        return ScaledLaw(
-            inner=law_from_json(doc["inner"]),
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-        )
-    if variant == "quadratic_head":
-        return QuadraticHeadLaw(eps=float(doc["eps"]))
-    if variant == "tabulated":
-        return TabulatedLaw(
-            grid=tuple(doc["grid"]),
-            samples=tuple(doc["samples"]),
-            origin_power=float(doc.get("origin_power", 2.0)),
-            tail=doc.get("tail", "constant"),
-        )
-    raise ValueError(f"unknown law variant {variant!r}")

@@ -126,6 +126,17 @@ class TestLawSpec:
         result = runner.invoke(main, ["law", "--spec", "nope"])
         assert result.exit_code == 2
 
+    def test_zeta_variant_document(self, runner, tmp_path):
+        nodes = [[-2, 0.1], [0, 0.5], [2, 1.5]]
+        path = tmp_path / "zeta.json"
+        path.write_text(json.dumps({"variant": "dyadic_affine", "nodes": nodes}))
+        assert parse_law_spec(f"zeta:@{path}") == DyadicAffineLaw(
+            nodes=((-2, 0.1), (0, 0.5), (2, 1.5)))
+        path.write_text(json.dumps({"variant": "model", "k": 1}))
+        result = runner.invoke(main, ["law", "--spec", f"zeta:@{path}"])
+        assert result.exit_code == 2
+        assert "zeta spec must name a dyadic-affine law" in result.output
+
 
 class TestLawCommand:
     def test_phi1_scale_factor(self, runner):

@@ -14,11 +14,8 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
-    ScaledLaw,
     TabulatedLaw,
     check_admissible,
-    law_from_json,
-    law_to_json,
     phi_eps,
     rescale,
 )
@@ -213,26 +210,38 @@ def _measure_below(law, t):
     return total
 
 
+_over_measure_laws = pytest.mark.parametrize("law", [
+    ModelLaw(3),
+    PiecewiseConstantLaw((0.5, 0, 2)),
+    PackagedDyadicLaw((1, 1)),
+    AffineThetaLaw(),
+    DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
+    rescale(PackagedDyadicLaw((1, 1)), 2.0, 1.5),
+    rescale(AffineThetaLaw(), 0.5, 3.0),
+    rescale(phi_eps(0.1), 2.0, 0.5),
+    phi_eps(0.01),
+    TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=1.5),
+    TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 0.4), tail="extrapolate"),
+], ids=lambda law: type(law).__name__)
+
+
 class TestThresholdMeasure:
     """Every law is the measure of the thresholds below its argument."""
 
-    @pytest.mark.parametrize("law", [
-        ModelLaw(3),
-        PiecewiseConstantLaw((0.5, 0, 2)),
-        PackagedDyadicLaw((1, 1)),
-        AffineThetaLaw(),
-        DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
-        rescale(PackagedDyadicLaw((1, 1)), 2.0, 1.5),
-        rescale(AffineThetaLaw(), 0.5, 3.0),
-        rescale(phi_eps(0.1), 2.0, 0.5),
-        phi_eps(0.01),
-        TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=1.5),
-        TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 0.4), tail="extrapolate"),
-    ], ids=lambda law: type(law).__name__)
+    @_over_measure_laws
     def test_reproduces_the_law(self, law):
         t = np.concatenate([np.geomspace(1e-3, 20.0, 400), [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]])
         got = np.array([_measure_below(law, x) for x in t])
         assert np.allclose(got, np.asarray(law(t)), rtol=1e-12, atol=1e-14)
+
+    @_over_measure_laws
+    def test_pieces_are_sorted_and_disjoint(self, law):
+        # the contract the exact sup of check_admissible relies on
+        atoms, densities = law.threshold_measure()
+        assert [s for s, _ in atoms] == sorted(s for s, _ in atoms)
+        assert all(s0 < s1 and p > -1 for s0, s1, _, p in densities)
+        assert all(a[1] <= b[0] for a, b in zip(densities, densities[1:]))
+        assert not any(s0 < s < s1 for s, _ in atoms for s0, s1, _, _ in densities)
 
     def test_step_atoms_are_the_steps(self):
         law = PackagedDyadicLaw((Fraction(1, 2), 1))
@@ -311,39 +320,54 @@ class TestPhiEps:
 
 
 class TestAdmissibility:
+    """Each condition is decided from the threshold measure and names its piece."""
+
     def test_model_passes(self):
         rep = check_admissible(ModelLaw(1))
         assert rep.ok
         assert rep.bound == 1.0
+        assert rep.quadratic_coefficient == 0.0
 
     def test_unbounded_fails_with_witness(self):
         law = TabulatedLaw(grid=(1.0, 2.0), samples=(1.0, 2.0), tail="extrapolate")
-        grid = np.linspace(0.0, 64.0, 100)
-        rep = check_admissible(law, grid)
-        assert not rep.bounded_ok
-        assert rep.bounded_witness == grid[-1]
+        rep = check_admissible(law)
+        assert not rep.ok
+        assert rep.bounded_witness == "density on (2, inf)"
+        assert "bounded: fail (density on (2, inf))" in rep.summary()
 
     def test_phi_eps_passes(self):
-        assert check_admissible(phi_eps(0.1)).ok
+        rep = check_admissible(phi_eps(0.1))
+        assert rep.ok
+        assert rep.quadratic_coefficient == pytest.approx(0.1 / 1.1, rel=1e-15)
+        assert rep.bound == pytest.approx(1.0 / 1.1, rel=1e-15)
 
     def test_non_monotone_fails(self):
         law = TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(1.0, 0.2, 0.2))
         rep = check_admissible(law)
-        assert not rep.monotone
-        assert rep.monotone_witness is not None
+        assert not rep.ok
+        assert rep.monotone_witness == "density on (0.5, 1)"
 
+    def test_origin_power_below_two_is_not_quadratic(self):
+        # law(t) = 0.2 (2t)^1.5 near 0, so law(t) / t^2 grows without bound
+        law = TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=1.5)
+        rep = check_admissible(law)
+        assert not rep.ok
+        assert rep.quadratic_witness == "density on (0, 0.5)"
+        assert "quadratic near 0: fail (density on (0, 0.5))" in rep.summary()
 
-class TestSerialization:
-    @pytest.mark.parametrize("law", [
-        ModelLaw(3),
-        PiecewiseConstantLaw((1, 0, 2.5)),
-        PackagedDyadicLaw((1, 1)),
-        AffineThetaLaw(),
-        DyadicAffineLaw(nodes=((-1, 0.5), (1, 2.0))),
-        ScaledLaw(inner=ModelLaw(1), alpha=2.0, beta=0.5),
-        phi_eps(0.25),
-    ])
-    def test_round_trip(self, law):
-        back = law_from_json(law_to_json(law))
-        t = np.linspace(0.0, 8.0, 257)
-        assert np.array_equal(np.asarray(law(t)), np.asarray(back(t)))
+    def test_quadratic_coefficient_is_the_exact_sup(self):
+        # the sup of law(t) / t^2 is law(1/32) / (1/32)^2 = 0.1 * 1024
+        law = DyadicAffineLaw(nodes=((-5, 0.1), (-3, 0.4), (1, 1.0)))
+        rep = check_admissible(law)
+        assert rep.ok
+        assert rep.quadratic_coefficient == pytest.approx(102.4, rel=1e-15)
+        assert "(a=102.4)" in rep.summary()
+
+    def test_quadratic_coefficient_at_an_interior_stationary_point(self):
+        # on the ramp (1/2, 1) law(t) / t^2 peaks inside the piece; a fine grid
+        # reaches the same sup from below
+        law = DyadicAffineLaw(nodes=((-1, 0.159935), (0, 0.831142), (2, 1.186906)))
+        a = check_admissible(law).quadratic_coefficient
+        t = np.linspace(0.5, 1.0, 200001)
+        grid_sup = float(np.max(np.asarray(law(t)) / t ** 2))
+        assert grid_sup <= a <= grid_sup * (1 + 1e-10)
