@@ -2,60 +2,35 @@
 
 Interaction laws, step functions and their simplifying operators, exact and
 quadrature energies, log-sum minimum problems, and shape-factor lower bounds.
+
+Each name below is imported from its defining module on first use (PEP 562),
+so ``import bvgamma`` loads neither numpy nor any submodule.
 """
 
-from .laws import (
-    AdmissibilityReport,
-    AffineThetaLaw,
-    DyadicAffineLaw,
-    InteractionLaw,
-    ModelLaw,
-    PackagedDyadicLaw,
-    PiecewiseConstantLaw,
-    QuadraticHeadLaw,
-    ScaledLaw,
-    TabulatedLaw,
-    check_admissible,
-    phi_eps,
-    rescale,
-)
-from .stepfn import (
-    StepFunction,
-    gaps,
-    oscillation,
-    rearrange,
-    segment,
-    staircase_from_gaps,
-    total_variation,
-    truncate,
-)
-from .energy import (
-    EnergyResult,
-    geometric_constant,
-    hostility,
-    lambda_quad,
-    lambda_step,
-    lambda_strip,
-)
-from .minprob import (
-    MinProblem,
-    MinResult,
-    in_domain,
-    log_cost,
-    minimize,
-    power_cost,
-    telescopic_margin,
-    window_sums,
-)
-from .bounds import (
-    BoundReport,
-    counterexample_table,
-    gamma_liminf_factor,
-    harmonic_number,
-    psi_bound,
-    psi_law,
-    theta_bound,
-    zeta_bound,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "laws": ("AdmissibilityReport", "AffineThetaLaw", "DyadicAffineLaw", "InteractionLaw",
+             "ModelLaw", "PackagedDyadicLaw", "PiecewiseConstantLaw", "QuadraticHeadLaw",
+             "ScaledLaw", "TabulatedLaw", "check_admissible", "phi_eps", "rescale"),
+    "stepfn": ("StepFunction", "gaps", "oscillation", "rearrange", "segment",
+               "staircase_from_gaps", "total_variation", "truncate"),
+    "energy": ("EnergyResult", "geometric_constant", "hostility", "lambda_quad",
+               "lambda_step", "lambda_strip"),
+    "minprob": ("MinProblem", "MinResult", "in_domain", "log_cost", "minimize", "power_cost",
+                "telescopic_margin", "window_sums"),
+    "bounds": ("BoundReport", "counterexample_table", "gamma_liminf_factor",
+               "harmonic_number", "psi_bound", "psi_law", "theta_bound", "zeta_bound"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

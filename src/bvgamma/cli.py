@@ -11,21 +11,6 @@ import math
 import sys
 
 import click
-import numpy as np
-
-from . import bounds as bounds_mod
-from . import energy as energy_mod
-from . import minprob as minprob_mod
-from .laws import (
-    AffineThetaLaw,
-    DyadicAffineLaw,
-    ModelLaw,
-    PackagedDyadicLaw,
-    PiecewiseConstantLaw,
-    check_admissible,
-    phi_eps,
-)
-from .stepfn import StepFunction
 
 __all__ = ["main", "parse_law_spec"]
 
@@ -37,6 +22,8 @@ __all__ = ["main", "parse_law_spec"]
 def parse_law_spec(spec: str):
     """Parse `phi1`, `phi:k`, `pca:[...]`, `pca2:[...]`, `psi:m`, `theta`,
     `zeta:@file.json`, `phieps:eps`."""
+    from .laws import (AffineThetaLaw, DyadicAffineLaw, ModelLaw, PackagedDyadicLaw,
+                       PiecewiseConstantLaw, phi_eps)
     spec = spec.strip()
     try:
         if spec == "phi1":
@@ -91,6 +78,7 @@ def delta_sweep(text: str) -> list:
     a, b = deltas
     if a == b:
         return [a]
+    import numpy as np
     steps = max(1, round(2 * abs(math.log10(a / b))))
     return [float(x) for x in np.geomspace(a, b, steps + 1)]
 
@@ -155,6 +143,7 @@ def main(ctx, config_path, as_json):
 @click.pass_context
 def cmd_law(ctx, spec_text, report, probe):
     """Evaluate a law, its scale factor and its admissibility report."""
+    from .laws import check_admissible
     spec_text = _cfg(ctx, "spec", spec_text)
     if not spec_text:
         raise click.UsageError("missing --spec")
@@ -204,12 +193,20 @@ def cmd_law(ctx, spec_text, report, probe):
 @click.pass_context
 def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     """Minimize the weighted log-cost objective over length tuples."""
+    from .minprob import MinProblem, minimize
     law = parse_law_spec(spec_text)
     starts = int(_cfg(ctx, "starts", starts, 64))
+    if starts < 0:
+        raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
     seed = int(_cfg(ctx, "seed", seed, 0))
+    try:
+        problems = [MinProblem(n=n, law=law) for n in ns]
+    except TypeError as exc:
+        raise click.BadParameter(str(exc), param_hint="--law")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--n")
 
-    results = [minprob_mod.minimize(minprob_mod.MinProblem(n=n, law=law),
-                                    starts=starts, seed=seed) for n in ns]
+    results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
     rows = []
     for n, res in zip(ns, results):
         row = [n, res.value, res.value / n, res.winning_seed]
@@ -226,12 +223,9 @@ def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
 # verify
 # ---------------------------------------------------------------------------
 
-_SUITES = {
-    "telescope": minprob_mod.suite_telescope,
-    "rearrange": energy_mod.suite_rearrange,
-    "domination": bounds_mod.suite_domination,
-    "chain": energy_mod.suite_chain,
-}
+# suite name -> the module defining its ``suite_<name>``
+_SUITES = {"telescope": "minprob", "rearrange": "energy", "domination": "bounds",
+           "chain": "energy"}
 
 
 @main.command("verify")
@@ -249,8 +243,10 @@ def cmd_verify(ctx, suite, count, seed, tolerance):
     tolerance = float(_cfg(ctx, "tolerance", tolerance, 1e-10))
     if math.isnan(tolerance):
         raise click.BadParameter("must be a number, got nan", param_hint="--tolerance")
-    rng = np.random.default_rng(seed)
-    worst, witness = _SUITES[suite](rng, count)
+    from importlib import import_module
+    import numpy as np
+    run_suite = getattr(import_module(f".{_SUITES[suite]}", __package__), f"suite_{suite}")
+    worst, witness = run_suite(np.random.default_rng(seed), count)
     doc = {"suite": suite, "count": count, "seed": seed, "min_margin": worst}
     ok = worst >= -tolerance
     if not ok:
@@ -292,14 +288,18 @@ def _emit_reports(ctx, build):
 @click.pass_context
 def bounds_psi(ctx, ms):
     """Bounds for the full-package laws over a range of depths."""
-    _emit_reports(ctx, lambda: [bounds_mod.psi_bound(m) for m in ms])
+    if min(ms) < 1:
+        raise click.BadParameter(f"depths must be at least 1, got {min(ms)}", param_hint="--m")
+    from .bounds import psi_bound
+    _emit_reports(ctx, lambda: [psi_bound(m) for m in ms])
 
 
 @cmd_bounds.command("theta")
 @click.pass_context
 def bounds_theta(ctx):
     """Shape factor of the affine ramp law (exactly one)."""
-    _emit_reports(ctx, lambda: [bounds_mod.theta_bound()])
+    from .bounds import theta_bound
+    _emit_reports(ctx, lambda: [theta_bound()])
 
 
 @cmd_bounds.command("zeta")
@@ -308,8 +308,9 @@ def bounds_theta(ctx):
 @click.pass_context
 def bounds_zeta(ctx, f_path):
     """Shape factor of a dyadic-affine law (exactly one)."""
+    from .bounds import zeta_bound
     law = parse_law_spec(f"zeta:@{f_path}")
-    _emit_reports(ctx, lambda: [bounds_mod.zeta_bound(law)])
+    _emit_reports(ctx, lambda: [zeta_bound(law)])
 
 
 @cmd_bounds.command("counterexample")
@@ -317,7 +318,10 @@ def bounds_zeta(ctx, f_path):
 @click.pass_context
 def bounds_counterexample(ctx, eps):
     """Data for the short-range counterexample pair."""
-    doc = bounds_mod.counterexample_table(eps=eps)
+    if not 0 < eps <= 1:
+        raise click.BadParameter(f"must be in (0, 1], got {eps}", param_hint="--eps")
+    from .bounds import counterexample_table
+    doc = counterexample_table(eps=eps)
     if ctx.obj["json"]:
         click.echo(json.dumps(doc, indent=2))
     else:
@@ -333,8 +337,9 @@ def bounds_counterexample(ctx, eps):
 @click.pass_context
 def bounds_factor(ctx, spec_text, n_max, starts, seed):
     """Gamma-liminf coefficient per unit of total variation."""
+    from .bounds import gamma_liminf_factor
     law = parse_law_spec(spec_text)
-    factor, chain = bounds_mod.gamma_liminf_factor(
+    factor, chain = gamma_liminf_factor(
         law, n_max=n_max, starts=starts, seed=seed)
     doc = {"factor": factor, "chain": [[s, c] for s, c in chain]}
     if ctx.obj["json"]:
@@ -350,13 +355,19 @@ def bounds_factor(ctx, spec_text, n_max, starts, seed):
 # ---------------------------------------------------------------------------
 
 def _smooth_bump(x):
+    import numpy as np
     return np.sin(np.pi * np.asarray(x)) ** 2
+
+
+def _linear(x):
+    import numpy as np
+    return np.asarray(x, dtype=float)
 
 
 _SMOOTH_PROFILES = {
     # (callable on [0,1], exact total variation)
     "bump": (_smooth_bump, 2.0),
-    "linear": (lambda x: np.asarray(x, dtype=float), 1.0),
+    "linear": (_linear, 1.0),
 }
 
 
@@ -376,12 +387,13 @@ def energy_pointwise(ctx, spec_text, profile, deltas, tol):
     """Sweep the quadrature energy of a smooth profile over delta."""
     if not 0 < tol < math.inf:
         raise click.BadParameter(f"must be finite and positive, got {tol}", param_hint="--tol")
+    from .energy import lambda_quad
     law = parse_law_spec(spec_text)
     func, tv = _SMOOTH_PROFILES[profile]
     scale = 2.0 * law.scale_factor() * tv
     rows = []
     for delta in deltas:
-        res = energy_mod.lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
+        res = lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
         rows.append([delta, res.value, res.method, res.error_estimate,
                      res.value / scale])
     _emit_rows(["delta", "value", "method", "error_estimate", "ratio"],
@@ -396,6 +408,8 @@ def energy_pointwise(ctx, spec_text, profile, deltas, tol):
 @click.pass_context
 def energy_step(ctx, spec_text, u_path, deltas):
     """Sweep the exact step-function energy over delta."""
+    from .energy import lambda_step
+    from .stepfn import StepFunction
     law = parse_law_spec(spec_text)
     try:
         if u_path.endswith(".csv"):
@@ -407,7 +421,7 @@ def energy_step(ctx, spec_text, u_path, deltas):
         raise click.BadParameter(f"cannot read a step function: {exc}", param_hint="--u")
     rows = []
     for delta in deltas:
-        res = energy_mod.lambda_step(law, u, delta)
+        res = lambda_step(law, u, delta)
         rows.append([delta, res.value, res.method, res.error_estimate])
     _emit_rows(["delta", "value", "method", "error_estimate"], rows, ctx.obj["json"])
 
@@ -417,9 +431,10 @@ def energy_step(ctx, spec_text, u_path, deltas):
 @click.pass_context
 def energy_gd(ctx, dmax):
     """Table of the geometric constants up to a given dimension."""
+    from .energy import geometric_constant
     rows = []
     for d in range(1, dmax + 1):
-        res = energy_mod.geometric_constant(d)
+        res = geometric_constant(d)
         rows.append([d, res.value, res.method, res.error_estimate])
     _emit_rows(["d", "value", "method", "error_estimate"], rows, ctx.obj["json"])
 

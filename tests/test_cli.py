@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -29,22 +30,68 @@ def runner():
     return CliRunner()
 
 
-def _scipy_modules_after(*commands):
-    """scipy modules loaded in a fresh interpreter after running the commands.
+def _modules_after(*commands, prelude="from bvgamma.cli import main"):
+    """Names in ``sys.modules`` of a fresh interpreter after ``prelude`` and the commands.
 
     A command that ends in ``sys.exit`` (``verify``) must exit 0.
     """
     src = str(Path(bvgamma.__file__).resolve().parents[1])
-    code = ("import sys; from bvgamma.cli import main\n"
+    code = (f"import sys; {prelude}\n"
             f"for args in {list(commands)!r}:\n"
             "    try:\n"
             "        main(args, standalone_mode=False)\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, (args, exc.code)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+            "print(sorted(sys.modules), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     return ast.literal_eval(out.stderr.splitlines()[-1])
+
+
+def _scipy_modules_after(*commands):
+    """scipy modules loaded in a fresh interpreter after running the commands."""
+    return [m for m in _modules_after(*commands) if m.split(".")[0] == "scipy"]
+
+
+def _loaded_after(*commands, **kwargs):
+    """numpy and the bvgamma submodules loaded in a fresh interpreter."""
+    return {m for m in _modules_after(*commands, **kwargs)
+            if m == "numpy" or m.startswith("bvgamma.")}
+
+
+class TestLazyLoading:
+    """Each process loads only the modules its command runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded_after(prelude="import bvgamma") == set()
+
+    def test_cli_import_loads_no_library_module(self):
+        assert _loaded_after() == {"bvgamma.cli"}
+
+    def test_law_command_loads_laws_only(self):
+        assert _loaded_after(["law", "--spec", "psi:2"]) == {
+            "bvgamma.cli", "bvgamma.laws", "numpy"}
+
+    def test_verify_telescope_loads_minprob_only(self):
+        assert _loaded_after(["verify", "telescope", "--count", "5"]) == {
+            "bvgamma.cli", "bvgamma.minprob", "numpy"}
+
+    def test_bounds_psi_loads_neither_energy_nor_stepfn(self):
+        loaded = _loaded_after(["bounds", "psi", "--m", "1..3"])
+        assert "bvgamma.bounds" in loaded
+        assert not loaded & {"bvgamma.energy", "bvgamma.stepfn"}
+
+    def test_exports_are_their_defining_modules_objects(self):
+        assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 43
+        for name in bvgamma.__all__:
+            obj = getattr(bvgamma, name)
+            assert obj.__module__.startswith("bvgamma.")
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+        assert bvgamma.laws is importlib.import_module("bvgamma.laws")
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bvgamma.no_such_name
 
 
 _SWEEP = ("--starts", "16", "--seed", "0", "--dump-minimizer")
@@ -195,6 +242,25 @@ class TestMinprobCommand:
         assert result.exit_code == 2
         assert "--n" in result.output and "abc" in result.output
 
+    @pytest.mark.parametrize("args, hint, message", [
+        (["--law", "psi:2", "--n", "2"], "--n", "need n >= 4 for this law"),
+        (["--law", "psi:2", "--n", "8,2"], "--n", "need n >= 4 for this law"),
+        (["--law", "psi:2", "--n", "8", "--starts", "-1"], "--starts", "at least 0"),
+        (["--law", "theta", "--n", "8"], "--law", "piecewise-constant law"),
+    ])
+    def test_bad_problem_exits_2(self, runner, args, hint, message):
+        result = runner.invoke(main, ["minprob", *args])
+        assert result.exit_code == 2
+        assert hint in result.output and message in result.output
+
+    def test_negative_starts_from_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"starts": -1}))
+        result = runner.invoke(main, ["--config", str(cfg), "minprob", "--law", "psi:2",
+                                      "--n", "8"])
+        assert result.exit_code == 2
+        assert "--starts" in result.output
+
     def test_json_minimizer_dump(self, runner):
         result = runner.invoke(main, ["--json", "minprob", "--law", "phi1", "--n", "8",
                                       "--starts", "0", "--dump-minimizer"])
@@ -339,6 +405,21 @@ class TestBoundsCommand:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["c2_exact"] == "6/11"
+
+    @pytest.mark.parametrize("m", ["0", "-2..3"])
+    def test_psi_depth_below_1_exits_2(self, runner, m):
+        result = runner.invoke(main, ["bounds", "psi", "--m", m])
+        assert result.exit_code == 2
+        assert "--m" in result.output and "at least 1" in result.output
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "1.5", "nan", "inf"])
+    def test_counterexample_eps_outside_unit_interval_exits_2(self, runner, eps):
+        result = runner.invoke(main, ["bounds", "counterexample", "--eps", eps])
+        assert result.exit_code == 2
+        assert "--eps" in result.output and "(0, 1]" in result.output
+
+    def test_counterexample_eps_1_is_allowed(self, runner):
+        assert runner.invoke(main, ["bounds", "counterexample", "--eps", "1"]).exit_code == 0
 
     def test_factor_text(self, runner):
         result = runner.invoke(main, ["bounds", "factor", "--law", "psi:2",
