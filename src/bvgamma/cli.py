@@ -184,6 +184,17 @@ def cmd_law(ctx, spec_text, report, probe):
 # minprob
 # ---------------------------------------------------------------------------
 
+def _min_problems(law, ns, n_hint):
+    """The minimum problem of ``law`` at each n; one it cannot build is a bad option."""
+    from .minprob import MinProblem
+    try:
+        return [MinProblem(n=n, law=law) for n in ns]
+    except TypeError as exc:
+        raise click.BadParameter(str(exc), param_hint="--law")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=n_hint)
+
+
 @main.command("minprob")
 @click.option("--law", "spec_text", required=True)
 @click.option("--n", "ns", required=True, type=int_range, help="Single n, comma list, or a..b.")
@@ -193,18 +204,13 @@ def cmd_law(ctx, spec_text, report, probe):
 @click.pass_context
 def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     """Minimize the weighted log-cost objective over length tuples."""
-    from .minprob import MinProblem, minimize
+    from .minprob import minimize
     law = parse_law_spec(spec_text)
     starts = int(_cfg(ctx, "starts", starts, 64))
     if starts < 0:
         raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
     seed = int(_cfg(ctx, "seed", seed, 0))
-    try:
-        problems = [MinProblem(n=n, law=law) for n in ns]
-    except TypeError as exc:
-        raise click.BadParameter(str(exc), param_hint="--law")
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--n")
+    problems = _min_problems(law, ns, "--n")
 
     results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
     rows = []
@@ -339,8 +345,10 @@ def bounds_factor(ctx, spec_text, n_max, starts, seed):
     """Gamma-liminf coefficient per unit of total variation."""
     from .bounds import gamma_liminf_factor
     law = parse_law_spec(spec_text)
-    factor, chain = gamma_liminf_factor(
-        law, n_max=n_max, starts=starts, seed=seed)
+    if starts < 0:
+        raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
+    _min_problems(law, [n_max], "--n-max")  # the largest problem gamma_liminf_factor builds
+    factor, chain = gamma_liminf_factor(law, n_max=n_max, starts=starts, seed=seed)
     doc = {"factor": factor, "chain": [[s, c] for s, c in chain]}
     if ctx.obj["json"]:
         click.echo(json.dumps(doc, indent=2))

@@ -343,23 +343,30 @@ def _pattern_seeds(problem: MinProblem):
 
 
 def _certified_minimum(problem: MinProblem):
-    """(minimum, attaining pattern) of w*phi_k for k <= 5 and n = m*k, else None.
+    """(minimum, attaining pattern) of a one-step law w*phi_k, else None.
 
-    The minimum is w*(m - 1)*log 4.  With S_{i,j} = l_i + ... + l_{i+j-1} and
-    block sums B_j = S_{jk,k}, the block identity prod_{r<k} S_{r,k+1} >=
-    S_{0,2k} * prod_{1<=r<k} S_{r,k} holds for nonnegative entries: expanded,
-    the left side minus the right has nonnegative coefficients (it is 0 for
-    k = 1; criterion 2's docstring writes out k = 3; the tests expand k = 2..5).
-    On l_{jk..jk+2k-1} it bounds the terms i = jk..jk+k-1 of log_cost(l, k)
-    below by 2 log(B_j + B_{j+1}) - log B_j - log B_{j+1}.  Summed over j < m-1,
-    log_cost(l, k) >= log_cost(B, 1) >= (m - 1)*log 4 by AM-GM.  The period-k
-    pattern (1, 0, ..., 0) attains it, as its window sums are all 1 or 2.
+    For n = m*k + r with 0 <= r < k the minimum is w*(m - 1)*log 4.  Write
+    S_{i,j} = l_i + ... + l_{i+j-1}.  Merge lemma: for overlapping windows A
+    and B with a = S(A-B), b = S(B-A) and c = S(A&B),
+    S(A)*S(B) - S(A|B)*S(A&B) = (a + c)(c + b) - (a + b + c)*c = ab >= 0.
+    Merging the (k+1)-windows i = s..t one at a time into their growing union,
+    each merge meets it in the k-window i, so prod_{s<=i<=t} S_{i,k+1} >=
+    S_{s,t-s+k+1} * prod_{s<i<=t} S_{i,k}; for s = 0, t = k-1 this is the block
+    identity prod_{r<k} S_{r,k+1} >= S_{0,2k} * prod_{1<=r<k} S_{r,k}.  So the
+    terms s..t of log_cost(l, k) add up to at least
+    2 log S_{s,t-s+k+1} - log S_{s,k} - log S_{t+1,k}.  Split the n - k terms
+    into m - 2 groups of k and a last group of k + r (for m = 1, one group of
+    r), and bound the last group's unmatched window S_{n-k,k} by the last
+    block: with C the m block sums of k entries, the last of k + r entries,
+    log_cost(l, k) >= log_cost(C, 1) >= (m - 1)*log 4 by AM-GM (0 for m = 1).
+    The period-k pattern with ones at i = r (mod k) attains it: its m ones put
+    one in every k-window and two in exactly m - 1 of the (k+1)-windows.
     """
     (k, w), *rest = problem.law.steps
-    if rest or k > 5 or problem.n % k:
+    if rest:
         return None
     pattern = np.zeros(problem.n)
-    pattern[::k] = 1.0
+    pattern[problem.n % k::k] = 1.0
     return float(w) * (problem.n // k - 1) * math.log(4.0), pattern
 
 
@@ -375,9 +382,9 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     certificate = _certified_minimum(problem)
     if certificate is not None:
         value, pattern = certificate
-        pattern = pattern / pattern.sum()
-        tag = f"period-{problem.min_index}"
-        return MinResult(value, pattern, starts=1, winning_seed=tag, traces=[(tag, [value])],
+        phase = problem.n % problem.min_index
+        tag = f"period-{problem.min_index}" + (f"+{phase}" if phase else "")
+        return MinResult(value, pattern / pattern.sum(), 1, tag, [(tag, [value])],
                          certified="block-sum AM-GM bound")
 
     rng = np.random.default_rng(seed)

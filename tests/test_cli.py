@@ -437,6 +437,17 @@ class TestBoundsCommand:
         chain = dict(json.loads(result.output)["chain"])
         assert chain["package-telescopic-bound"] == pytest.approx(2 * math.log(2), abs=1e-15)
 
+    @pytest.mark.parametrize("args, hint, message", [
+        (["--law", "theta"], "--law", "piecewise-constant law"),
+        (["--law", "psi:2", "--n-max", "3"], "--n-max", "need n >= 4 for this law"),
+        (["--law", "phi:20"], "--n-max", "need n >= 21 for this law"),
+        (["--law", "psi:2", "--starts", "-1"], "--starts", "at least 0"),
+    ])
+    def test_factor_bad_problem_exits_2(self, runner, args, hint, message):
+        result = runner.invoke(main, ["bounds", "factor", *args])
+        assert result.exit_code == 2
+        assert hint in result.output and message in result.output
+
 
 class TestEnergyCommand:
     def test_gd_table(self, runner):
