@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 __all__ = [
     "InteractionLaw",
@@ -93,17 +92,20 @@ class _StepWeightLaw(InteractionLaw):
     ``steps`` holds the (threshold, weight) pairs with positive weight in
     threshold order, with the weights as given so that exact weights give an
     exact scale factor.  The law at t is the sum of the weights whose
-    threshold lies below t, read from a float table built once.
+    threshold lies below t, read from float tables built at the first
+    evaluation.
     """
 
     def _set_steps(self, steps):
-        steps = tuple(steps)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "_thresholds", np.array([k for k, _ in steps], dtype=float))
-        object.__setattr__(self, "_levels", np.concatenate(
-            [[0.0], np.cumsum(np.asarray([w for _, w in steps], dtype=float))]))
+        object.__setattr__(self, "steps", tuple(steps))
 
     def _evaluate(self, t):
+        import numpy as np
+        if "_levels" not in self.__dict__:
+            thresholds, weights = zip(*self.steps)
+            object.__setattr__(self, "_thresholds", np.array(thresholds, dtype=float))
+            object.__setattr__(self, "_levels", np.concatenate(
+                [[0.0], np.cumsum(np.asarray(weights, dtype=float))]))
         return self._levels[np.searchsorted(self._thresholds, np.asarray(t, dtype=float))][()]
 
     def scale_factor(self) -> float:
@@ -194,6 +196,7 @@ class AffineThetaLaw(InteractionLaw):
     """Affine ramp: 0 on [0,1], t-1 on [1,2], 1 on [2, +inf)."""
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t, dtype=float)
         r = np.subtract(t, 1.0, out=np.empty(t.shape))
         return np.clip(r, 0.0, 1.0, out=r)[()]
@@ -235,14 +238,16 @@ class DyadicAffineLaw(InteractionLaw):
         # node values are nondecreasing, so the running max holds each gap;
         # entry 0 is the zero at index zmin - 1, and clipping an index to the
         # ends of this table fills zeros to the left and the last value to the right
-        object.__setattr__(self, "_table", np.maximum.accumulate(
-            [given.get(i, 0.0) for i in range(zs[0] - 1, zs[-1] + 1)]))
+        object.__setattr__(self, "_table", tuple(accumulate(
+            [given.get(i, 0.0) for i in range(zs[0] - 1, zs[-1] + 1)], max)))
 
     def _seq(self, z):
         """Sequence value at integer index z (zero left, gaps held, constant right)."""
+        import numpy as np
         return np.take(self._table, np.asarray(z) - (self.nodes[0][0] - 1), mode="clip")
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             z = np.floor(np.log2(np.where(t > 0, t, 1.0))).astype(int)
@@ -254,14 +259,8 @@ class DyadicAffineLaw(InteractionLaw):
 
     def increments(self):
         """Pairs (z, seq(z+1) - seq(z)) over the finite support of the jumps."""
-        zmin = self.nodes[0][0]
-        zmax = self.nodes[-1][0]
-        out = []
-        for z in range(zmin - 1, zmax + 1):
-            d = float(self._seq(z + 1) - self._seq(z))
-            if d != 0.0:
-                out.append((z, d))
-        return out
+        table, z0 = self._table, self.nodes[0][0] - 1
+        return [(z0 + i, b - a) for i, (a, b) in enumerate(zip(table, table[1:])) if b != a]
 
     def threshold_measure(self) -> tuple:
         # the increment d at z is the ramp d * theta(t / 2^z)
@@ -282,6 +281,7 @@ class ScaledLaw(InteractionLaw):
             raise ValueError("scaling constants must be positive")
 
     def __call__(self, t):
+        import numpy as np
         return self.alpha * self.inner(np.asarray(t, dtype=float) * self.beta)
 
     def scale_factor_exact(self):
@@ -333,6 +333,7 @@ class TabulatedLaw(InteractionLaw):
             raise ValueError("origin power must exceed 1 for an integrable head")
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t, dtype=float)
         ts = np.asarray(self.grid)
         vs = np.asarray(self.samples)
@@ -371,6 +372,7 @@ class QuadraticHeadLaw(InteractionLaw):
         object.__setattr__(self, "_c", 1.0 / (1.0 + self.eps))
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t, dtype=float)
         head = np.clip(t, 0.0, 1.0)
         return np.where(t > 1.0, self._c, self._c * self.eps * head * head)[()]

@@ -392,11 +392,12 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     tags += [f"smooth-start-{s}" for s in range(starts)]
     stack = np.vstack(seeds + [rng.lognormal(mean=0.0, sigma=1.0, size=(starts, problem.n))])
     values, args, traces = _polish(problem, stack)
-    best_val, best_arg, best_tag = math.inf, None, None
-    for tag, val, arg in zip(tags, values, args):
+    best_val, best_arg, best_tag, best_start = math.inf, None, None, None
+    for tag, val, arg, start in zip(tags, values, args, stack):
         tol = 1e-12 * max(1.0, abs(val))
-        # a tie goes to the sparser minimizer (exact zeros are informative)
+        # a tie goes to the sparser start: its zeros are exact, while a polished
+        # entry can underflow to zero at the clamp of the log coordinates
         if val < best_val - tol or (val <= best_val + tol and best_arg is not None
-                                    and np.count_nonzero(arg) < np.count_nonzero(best_arg)):
-            best_val, best_arg, best_tag = val, arg, tag
+                                    and np.count_nonzero(start) < np.count_nonzero(best_start)):
+            best_val, best_arg, best_tag, best_start = val, arg, tag, start
     return MinResult(best_val, best_arg, len(tags), best_tag, list(zip(tags, traces)))

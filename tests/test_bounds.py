@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from bvgamma import bounds
 from bvgamma.bounds import (
     counterexample_table,
     domination_margins,
@@ -96,6 +97,29 @@ class TestThetaBound:
         grid = np.linspace(0.0, 4.0, 10_001)
         for m in range(2, 9):
             assert float(domination_margins(m, grid).min()) >= -1e-12
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_exact_least_margin(self, m):
+        # the least right limit at an atom t_k = k/(s-1) of the minorant, exactly
+        worst, t = bounds._least_domination_margin(m)
+        s = 2 ** (m - 1)
+        assert worst >= 0
+        assert t in {Fraction(k, s - 1) for k in range(s, 2 * s)}
+        assert (worst, t) == (0, Fraction(2 * s - 1, s - 1))
+        grid = np.linspace(0.0, 4.0, 10_001)
+        assert worst <= float(domination_margins(m, grid).min())
+        assert float(domination_margins(m, [float(t) + 1e-9])[0]) == pytest.approx(
+            float(worst), abs=1e-8)
+
+    def test_raised_minorant_fails_where_it_fails(self, monkeypatch):
+        # package 5 raised by half: the least margin -1/2 is right of t = 31/15
+        monkeypatch.setattr(bounds, "single_package_law", lambda m: PackagedDyadicLaw(
+            (0,) * (m - 1) + (1.5 if m == 5 else 1,)))
+        assert bounds._least_domination_margin(5) == (Fraction(-1, 2), Fraction(31, 15))
+        with pytest.raises(AssertionError,
+                           match=r"^domination failed for package 5 at t=2\.0666666666666\d*: "
+                                 r"margin -0\.5$"):
+            theta_bound()
 
     def test_domination_spot_checks(self):
         for t in (1.01, 1.5, 1.99):

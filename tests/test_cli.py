@@ -69,8 +69,26 @@ class TestLazyLoading:
         assert _loaded_after() == {"bvgamma.cli"}
 
     def test_law_command_loads_laws_only(self):
-        assert _loaded_after(["law", "--spec", "psi:2"]) == {
+        assert _loaded_after(["law", "--spec", "psi:2"]) == {"bvgamma.cli", "bvgamma.laws"}
+
+    # every number these commands print is exact or closed-form Python arithmetic
+    @pytest.mark.parametrize("args", [["law", "--spec", "phieps:0.01"],
+                                      ["bounds", "psi", "--m", "1..12"],
+                                      ["bounds", "theta"],
+                                      ["bounds", "counterexample"]], ids=" ".join)
+    def test_exact_reports_load_no_numpy(self, args):
+        assert not _loaded_after(args) & {"numpy", "bvgamma.minprob"}
+
+    def test_array_commands_load_numpy(self, tmp_path):
+        nodes = tmp_path / "zeta.json"
+        nodes.write_text(json.dumps({"nodes": [[-2, 0.25], [0, 0.5], [3, 1.75]]}))
+        assert _loaded_after(["law", "--spec", "psi:2", "--probe", "0.5"]) == {
             "bvgamma.cli", "bvgamma.laws", "numpy"}
+        assert _loaded_after(["bounds", "zeta", "--f", str(nodes)]) == {
+            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "numpy"}
+        assert _loaded_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
+                              "--starts", "2"]) == {
+            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
 
     def test_verify_telescope_loads_minprob_only(self):
         assert _loaded_after(["verify", "telescope", "--count", "5"]) == {

@@ -526,6 +526,22 @@ class TestMinimize:
         assert res.value == pytest.approx(value, rel=1e-12, abs=0)
         assert res.winning_seed == seed
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_tie_goes_to_the_sparser_start(self, monkeypatch, order):
+        # polishing the all-ones start drives 6 of its 12 log coordinates to the
+        # clamp, where they underflow to 0; those zeros earn nothing in a tie
+        pb = MinProblem(n=12, law=PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)))
+        ones = np.ones(12)
+        (value,), (dense,), (trace,) = minprob._polish(pb, ones[None])
+        assert np.count_nonzero(dense) == 6
+        one_zero = np.where(np.arange(12) == 0, 0.0, ones)
+        rows = [("one-zero", one_zero, one_zero / 11), ("ones", ones, dense)]
+        rows = [rows[i] for i in order]
+        monkeypatch.setattr(minprob, "_pattern_seeds", lambda pb: [r[:2] for r in rows])
+        monkeypatch.setattr(minprob, "_polish", lambda pb, stack: (
+            [value] * 2, [r[2] for r in rows], [trace] * 2))
+        assert minimize(pb, starts=0).winning_seed == "one-zero"
+
     def test_uncertified_law_polishes_every_start(self, monkeypatch):
         rows = []
         polish = minprob._polish
