@@ -171,6 +171,12 @@ class _ScaleFactorOff(DyadicAffineLaw):
         return super().scale_factor() * (1.0 + 1e-9)
 
 
+class _LastIncrementOff(DyadicAffineLaw):
+    def increments(self):
+        *rest, (z, d) = super().increments()
+        return [*rest, (z, d + 1e-8)]
+
+
 class TestZetaOracle:
     def test_matches_adaptive_quadrature_and_series(self):
         rng = random.Random(13)
@@ -187,6 +193,19 @@ class TestZetaOracle:
             assert quad == pytest.approx(oracle, rel=1e-13)
             assert quad == pytest.approx(law.scale_factor(), rel=1e-12)
         assert singles > 0
+
+    def test_nodes_are_checked_against_the_measure(self):
+        # the law, read from its measure, meets every node value: zero below, gaps
+        # held, constant above; a measure whose last ramp is 1e-8 too high fails there
+        rng = random.Random(15)
+        for _ in range(20):
+            nodes = _random_gapped_nodes(rng)
+            assert dict(zeta_bound(DyadicAffineLaw(nodes=nodes)).chain)[
+                "ramp-series-representation"] <= 1e-15 * nodes[-1][1]
+            law = _LastIncrementOff(nodes=nodes)
+            top = max(z for z, _ in law.increments()) + 1
+            with pytest.raises(AssertionError, match=f"fails at t={2.0 ** top}"):
+                zeta_bound(law)
 
     def test_scale_factor_off_by_1e9_is_caught(self):
         rng = random.Random(14)

@@ -191,6 +191,22 @@ class TestLawSpec:
         result = runner.invoke(main, ["law", "--spec", "nope"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec", ["pca:[NaN]", "pca:[1,NaN]", "pca:[Infinity]",
+                                      "pca2:[Infinity]"])
+    def test_non_finite_weight_exits_2(self, runner, spec):
+        result = runner.invoke(main, ["law", "--spec", spec])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("command", [["law", "--spec", "zeta:@{}"],
+                                         ["bounds", "zeta", "--f", "{}"]])
+    def test_non_finite_node_exits_2(self, runner, tmp_path, command):
+        path = tmp_path / "zeta.json"
+        path.write_text('{"nodes": [[0, 0.5], [1, Infinity]]}')
+        result = runner.invoke(main, [arg.format(path) for arg in command])
+        assert result.exit_code == 2
+        assert "node values must be finite" in result.output
+
     def test_zeta_variant_document(self, runner, tmp_path):
         nodes = [[-2, 0.1], [0, 0.5], [2, 1.5]]
         path = tmp_path / "zeta.json"

@@ -11,10 +11,12 @@ from bvgamma.energy import lambda_strip
 from bvgamma.laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
+    InteractionLaw,
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
     TabulatedLaw,
+    _mass_below,
     check_admissible,
     phi_eps,
     rescale,
@@ -38,7 +40,7 @@ def quad_scale_factor(law, nodes=()):
 
 
 def _dyadic_seq_rebuilt(nodes, z):
-    """Node sequence with its table rebuilt per call: the oracle for the stored table."""
+    """Node sequence from a table rebuilt per call: the oracle for ``increments``."""
     zmin, zmax = nodes[0][0], nodes[-1][0]
     vals = dict(nodes)
     table = np.maximum.accumulate([vals.get(i, 0.0) for i in range(zmin, zmax + 1)])
@@ -47,7 +49,7 @@ def _dyadic_seq_rebuilt(nodes, z):
 
 
 def _dyadic_law_rebuilt(nodes, t):
-    """The dyadic affine law from the rebuilt sequence: the oracle for its __call__."""
+    """The dyadic affine law from the rebuilt sequence: the oracle for its evaluation."""
     t = np.asarray(t, dtype=float)
     z = np.floor(np.log2(np.where(t > 0, t, 1.0))).astype(int)
     lo, hi = _dyadic_seq_rebuilt(nodes, z), _dyadic_seq_rebuilt(nodes, z + 1)
@@ -129,14 +131,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("nodes", _DYADIC_NODES)
     def test_dyadic_sequence_lookup_matches_clip_rule(self, nodes):
-        # one clipped lookup into the zero-padded table against two clips and a where
+        # the law at 2^z is the node sequence: zero to the left, gaps held, constant right
         law = DyadicAffineLaw(nodes=nodes)
         zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
-        zs = np.arange(zmin - 5, zmax + 6)
-        assert law._seq(zs).tobytes() == _dyadic_seq_rebuilt(law.nodes, zs).tobytes()
-        for z in zs.tolist():
-            got, want = law._seq(z), _dyadic_seq_rebuilt(law.nodes, z)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        zs = range(zmin - 5, zmax + 6)
+        want = [max([v for y, v in law.nodes if y <= z], default=0.0) for z in zs]
+        assert law(np.exp2(zs)).tolist() == want
+        assert [law(2.0 ** z) for z in zs] == want
         rng = np.random.default_rng(11)
         t = np.exp2(rng.uniform(zmin - 5, zmax + 6, 4000))
         t[rng.random(4000) < 0.05] = 0.0
@@ -247,6 +248,68 @@ class TestThresholdMeasure:
         law = PackagedDyadicLaw((Fraction(1, 2), 1))
         assert law.threshold_measure() == (((1.0, 0.5), (2.0, 1.0), (3.0, 1.0)), ())
 
+    @_over_measure_laws
+    def test_evaluates_the_mass_below_at_every_break(self, law):
+        # at each atom (which mu((0, t)) leaves out), each piece end, past them and at t <= 0
+        measure = atoms, densities = law.threshold_measure()
+        ends = {s for d in densities for s in d[:2] if s < math.inf}
+        breaks = sorted({s for s, _ in atoms} | ends)
+        t = np.array([-math.inf, -1.0, 0.0, *breaks, *(1.5 * s for s in breaks if s > 0), 1e9])
+        want = np.array([_mass_below(measure, x) for x in t])
+        got = law(t)
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert not np.any(got[t <= 0])
+        # a 0-d input gives a numpy scalar and a 2-D input keeps its shape, bitwise alike
+        for x, y in zip(t.tolist(), got.tolist()):
+            value = law(x)
+            assert type(value) is np.float64 and value == y and law(np.array(x)) == y
+        grid = np.resize(t, (3, t.size))
+        assert law(grid).shape == grid.shape
+        assert law(grid).tobytes() == np.resize(got, grid.shape).tobytes()
+
+
+_CLOSED_FORM_T = np.concatenate([np.linspace(0.0, 6.0, 601),
+                                 np.random.default_rng(3).uniform(0.0, 6.0, 4000)])
+
+
+class TestClosedForms:
+    """Laws read from their threshold measure against their closed forms, to 4 ulp."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0])
+    def test_quadratic_head(self, eps):
+        t, c = _CLOSED_FORM_T, 1.0 / (1.0 + eps)
+        np.testing.assert_array_max_ulp(phi_eps(eps)(t), np.where(t > 1.0, c, c * eps * t * t), 4)
+
+    @pytest.mark.parametrize("grid, samples, power, tail", [
+        ((0.5, 1.0, 2.0), (0.2, 0.5, 1.0), 2.0, "constant"),
+        ((0.5, 1.0, 2.0), (0.2, 0.5, 1.0), 3.0, "extrapolate"),
+        ((0.5, 1.0, 2.0), (0.2, 0.5, 1.0), 1.5, "constant"),
+        ((0.3, 0.7, 1.1, 2.9), (0.1, 0.2, 0.6, 0.65), 2.5, "extrapolate"),
+    ])
+    def test_tabulated(self, grid, samples, power, tail):
+        # np.interp between samples, the power head below the grid, then either tail
+        t, ts, vs = _CLOSED_FORM_T, np.array(grid), np.array(samples)
+        want = np.where(t < ts[0], vs[0] * (t / ts[0]) ** power, np.interp(t, ts, vs))
+        if tail == "extrapolate":
+            slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
+            want = np.where(t > ts[-1], vs[-1] + slope * (t - ts[-1]), want)
+        np.testing.assert_array_max_ulp(TabulatedLaw(grid, samples, power, tail)(t), want, 4)
+
+    @pytest.mark.parametrize("inner, alpha, beta", [
+        (phi_eps(0.1), 0.5, 3.0),
+        (phi_eps(0.01), 3.0, 0.5),
+        (TabulatedLaw((0.5, 1.0, 2.0), (0.2, 0.5, 1.0)), 0.3, 2.0),
+        (PackagedDyadicLaw((1, 1)), 2.0, 1.5),
+        (PiecewiseConstantLaw((0.5, 0, 2)), 0.3, 0.7),
+        # a ramp cancels at its foot, so the ramp laws take a power-of-two beta,
+        # which rescales their thresholds exactly
+        (AffineThetaLaw(), 0.3, 2.0),
+        (DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))), 3.0, 0.5),
+    ], ids=lambda x: type(x).__name__ if isinstance(x, InteractionLaw) else str(x))
+    def test_scaled(self, inner, alpha, beta):
+        t = _CLOSED_FORM_T
+        np.testing.assert_array_max_ulp(rescale(inner, alpha, beta)(t), alpha * inner(beta * t), 4)
+
 
 class TestRescale:
     def test_model_k_as_rescaled_phi1(self):
@@ -300,6 +363,22 @@ class TestStructure:
             PiecewiseConstantLaw((0, 0))
         with pytest.raises(ValueError):
             PackagedDyadicLaw((0,))
+
+    @pytest.mark.parametrize("make, args", [
+        (PiecewiseConstantLaw, (math.nan,)),
+        (PiecewiseConstantLaw, (1, math.nan)),
+        (PiecewiseConstantLaw, (math.inf,)),
+        (PiecewiseConstantLaw, (10 ** 400,)),
+        (PackagedDyadicLaw, (math.inf,)),
+        (PackagedDyadicLaw, (1, math.nan)),
+        (DyadicAffineLaw, ((0, 0.5), (1, math.inf))),
+        (DyadicAffineLaw, ((0, math.nan), (1, 1.0))),
+    ])
+    def test_non_finite_parameters_rejected(self, make, args):
+        # a NaN weight used to vanish from the steps, and an infinite or huge one to
+        # overflow in the scale factor
+        with pytest.raises(ValueError, match="must be finite"):
+            make(args)
 
 
 class TestPhiEps:
