@@ -46,7 +46,7 @@ def parse_law_spec(spec: str):
             return DyadicAffineLaw(tuple((int(z), float(v)) for z, v in doc["nodes"]))
         if spec.startswith("phieps:"):
             return phi_eps(float(spec[7:]))
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         raise click.BadParameter(f"bad law spec {spec!r}: {exc}")
     raise click.BadParameter(f"unknown law spec {spec!r}")
 

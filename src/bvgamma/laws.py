@@ -15,9 +15,10 @@ small near the origin.  Several concrete families are supported:
 * tabulated laws given by samples.
 
 A law implements only ``threshold_measure``: it states itself once as a measure
-mu of thresholds, law(t) = mu((0, t)).  Evaluation on scalars or numpy arrays,
-the scale factor (the integral of law(t)/t^2 over (0, inf)) and the exact
-admissibility decision are all read from that measure.
+mu of thresholds, law(t) = mu((0, t)), whose atoms may carry exact numbers.  The
+evaluation on scalars or numpy arrays, the scale factor (the integral of
+law(t)/t^2 over (0, inf)), exact or not, and the exact admissibility decision
+are all read from that measure.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ def _as_fraction(x):
 def _finite(xs) -> bool:
     """True when no value is NaN, infinite or too large for a float (exact for big ints)."""
     return all(abs(x) <= sys.float_info.max for x in xs)
+
+
+def _checked_weights(values, list_name: str, name: str) -> tuple:
+    """values as a tuple of step weights: nonempty, finite, nonnegative, not all zero."""
+    w = tuple(values)
+    if len(w) == 0:
+        raise ValueError(f"{list_name} must be nonempty")
+    if not _finite(w):
+        raise ValueError(f"{name}s must be finite")
+    if any(x < 0 for x in w):
+        raise ValueError(f"{name}s must be nonnegative")
+    if all(x == 0 for x in w):
+        raise ValueError(f"at least one {name} must be positive")
+    return w
 
 
 class InteractionLaw:
@@ -98,23 +113,32 @@ class InteractionLaw:
 
     def scale_factor(self) -> float:
         """Integral of law(t) / t^2 over (0, +inf), that is, of 1/s against the
-        threshold measure."""
+        threshold measure: the exact value rounded once when there is one."""
+        exact = self.scale_factor_exact()
+        if exact is not None:
+            return float(exact)
         atoms, densities = self.threshold_measure()
-        parts = [w / s for s, w in atoms]
+        parts = [float(w) / float(s) for s, w in atoms]
         for s0, s1, c, p in densities:
             parts.append(c * math.log(s1 / s0) if p == 0 else c * (s1 ** p - s0 ** p) / p)
         return math.fsum(parts)
 
     def scale_factor_exact(self):
-        """Exact rational scale factor when one exists, else None."""
-        return None
+        """Sum of w/s over the atoms as a Fraction, or None when the measure has a
+        density or an atom whose threshold or weight is not exact."""
+        atoms, densities = self.threshold_measure()
+        exact = [(_as_fraction(s), _as_fraction(w)) for s, w in atoms]
+        if densities or any(fs is None or fw is None for fs, fw in exact):
+            return None
+        return sum((fw / fs for fs, fw in exact), Fraction(0))
 
     def threshold_measure(self) -> tuple:
         """The law as a measure mu of thresholds: law(t) = mu((0, t)).
 
         Returns (atoms, densities): each atom (s, w) is a mass w at s, and each density
         (s0, s1, c, p) is c * s^p ds on (s0, s1), with s1 possibly inf and p > -1.  A
-        pair with |u(y) - u(x)| / delta = t counts each threshold below t.
+        pair with |u(y) - u(x)| / delta = t counts each threshold below t.  An atom
+        (s, w) may hold ints or Fractions, which give an exact scale factor.
 
         Contract: atoms are sorted by s, and density pieces have s0 < s1, are disjoint
         and sorted by s0, with no atom inside a piece.  So mu((0, t)) on a piece is
@@ -127,29 +151,16 @@ class _StepWeightLaw(InteractionLaw):
     """Nonnegative combination of step laws, read through ``steps``.
 
     ``steps`` holds the (threshold, weight) pairs with positive weight in
-    threshold order, with the weights as given so that exact weights give an
-    exact scale factor.  Its threshold measure is one atom per step, so the law
-    at t is the sum of the weights whose threshold lies below t.
+    threshold order, with the weights as given.  It is the threshold measure,
+    one atom per step, so the law at t is the sum of the weights whose threshold
+    lies below t, and exact weights give an exact scale factor.
     """
 
     def _set_steps(self, steps):
         object.__setattr__(self, "steps", tuple(steps))
 
-    def scale_factor(self) -> float:
-        exact = self.scale_factor_exact()
-        return super().scale_factor() if exact is None else float(exact)
-
-    def scale_factor_exact(self):
-        total = Fraction(0)
-        for k, w in self.steps:
-            fw = _as_fraction(w)
-            if fw is None:
-                return None
-            total += fw / k
-        return total
-
     def threshold_measure(self) -> tuple:
-        return tuple((float(k), float(w)) for k, w in self.steps), ()
+        return self.steps, ()
 
 
 @dataclass(frozen=True)
@@ -177,16 +188,8 @@ class PiecewiseConstantLaw(_StepWeightLaw):
     __call__ = InteractionLaw.__call__
 
     def __post_init__(self):
-        w = tuple(self.weights)
+        w = _checked_weights(self.weights, "weight list", "weight")
         object.__setattr__(self, "weights", w)
-        if len(w) == 0:
-            raise ValueError("weight list must be nonempty")
-        if not _finite(w):
-            raise ValueError("weights must be finite")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be nonnegative")
-        if all(x == 0 for x in w):
-            raise ValueError("at least one weight must be positive")
         self._set_steps((k, x) for k, x in enumerate(w, start=1) if x > 0)
 
 
@@ -194,23 +197,19 @@ class PiecewiseConstantLaw(_StepWeightLaw):
 class PackagedDyadicLaw(_StepWeightLaw):
     """Combination of step laws whose coefficients are equal in dyadic packages.
 
-    Package j (weight packages[j-1]) covers thresholds 2^(j-1) .. 2^j - 1.
+    Package j (weight packages[j-1]) covers thresholds 2^(j-1) .. 2^j - 1.  The
+    depth m is at most 13: the law has 2^m - 1 steps, and past 13 its exact scale
+    factor passes Python's 4300-digit limit on int-to-str conversion.
     """
 
     packages: tuple
     __call__ = InteractionLaw.__call__
 
     def __post_init__(self):
-        a = tuple(self.packages)
+        a = _checked_weights(self.packages, "package list", "package weight")
         object.__setattr__(self, "packages", a)
-        if len(a) == 0:
-            raise ValueError("package list must be nonempty")
-        if not _finite(a):
-            raise ValueError("package weights must be finite")
-        if any(x < 0 for x in a):
-            raise ValueError("package weights must be nonnegative")
-        if all(x == 0 for x in a):
-            raise ValueError("at least one package weight must be positive")
+        if len(a) > 13:
+            raise ValueError(f"package depth must be at most 13, got {len(a)}")
         self._set_steps(self.expand().steps)
 
     def expand(self) -> PiecewiseConstantLaw:
@@ -290,13 +289,6 @@ class ScaledLaw(InteractionLaw):
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("scaling constants must be positive")
-
-    def scale_factor_exact(self):
-        inner = self.inner.scale_factor_exact()
-        fa, fb = _as_fraction(self.alpha), _as_fraction(self.beta)
-        if inner is None or fa is None or fb is None:
-            return None
-        return fa * fb * inner
 
     def threshold_measure(self) -> tuple:
         # the inner threshold s is the threshold s / beta, and ds = beta dr

@@ -231,6 +231,18 @@ class TestGammaLiminfFactor:
         factor, _ = gamma_liminf_factor(single_package_law(3), n_max=12, starts=4)
         assert factor >= math.log(2) - 1e-12
 
+    def test_problem_sizes_below_the_law_are_skipped(self, monkeypatch):
+        # psi:4 has thresholds up to 15, so of n = 8, 12 and 16 only 16 is solved
+        from bvgamma import minprob
+        solve, sizes = minprob.minimize, []
+        monkeypatch.setattr(minprob, "minimize",
+                            lambda problem, **kw: sizes.append(problem.n) or solve(problem, **kw))
+        factor, chain = gamma_liminf_factor(psi_law(4), n_max=16, starts=0)
+        assert sizes == [16]
+        assert [s for s, _ in chain] == ["package-telescopic-bound", "empirical-minimum-proxy"]
+        assert dict(chain)["package-telescopic-bound"] == 4 * math.log(2)
+        assert factor == max(c for _, c in chain)
+
     def test_non_packaged_uses_optimizer(self):
         law = PiecewiseConstantLaw((1.0, 0.25))
         factor, chain = gamma_liminf_factor(law, n_max=10, starts=4)

@@ -198,6 +198,22 @@ class TestLawSpec:
         assert result.exit_code == 2
         assert "must be finite" in result.output
 
+    @pytest.mark.parametrize("spec, message", [
+        ("psi:14", "package depth must be at most 13, got 14"),
+        ("psi:40", "package depth must be at most 13, got 40"),
+        ("pca2:[]", "package list must be nonempty"),
+        ('pca:["a"]', "bad operand type for abs(): 'str'"),
+        ("pca:5", "'int' object is not iterable"),
+        ("pca:null", "'NoneType' object is not iterable"),
+        ("pca2:[[1]]", "bad operand type for abs(): 'list'"),
+    ])
+    def test_malformed_weights_exit_2(self, runner, spec, message):
+        # configuration errors, not tracebacks: a weight that is not a number raises
+        # TypeError, and a package law deeper than 13 is rejected before it expands
+        result = runner.invoke(main, ["law", "--spec", spec])
+        assert result.exit_code == 2
+        assert f"bad law spec {spec!r}: {message}" in result.output
+
     @pytest.mark.parametrize("command", [["law", "--spec", "zeta:@{}"],
                                          ["bounds", "zeta", "--f", "{}"]])
     def test_non_finite_node_exits_2(self, runner, tmp_path, command):
@@ -235,6 +251,14 @@ class TestLawCommand:
         result = runner.invoke(main, ["law", "--spec", "theta", "--probe", "1.5"])
         assert result.exit_code == 0
         assert "1.5,0.5" in result.output
+
+    def test_density_law_has_no_exact_scale_factor(self, runner):
+        result = runner.invoke(main, ["law", "--spec", "theta", "--report", "N"])
+        assert result.exit_code == 0
+        assert result.output == f"N = {math.log(2):.17g}\n"
+        result = runner.invoke(main, ["--json", "law", "--spec", "phieps:0.01"])
+        assert result.exit_code == 0
+        assert '"scale_factor_exact": null' in result.output
 
     def test_json_output(self, runner):
         result = runner.invoke(main, ["--json", "law", "--spec", "phi:2"])
@@ -471,6 +495,15 @@ class TestBoundsCommand:
         chain = dict(json.loads(result.output)["chain"])
         assert chain["package-telescopic-bound"] == pytest.approx(2 * math.log(2), abs=1e-15)
 
+    def test_factor_without_package_structure(self, runner):
+        # pca:[1,0,1] has weights 0 and 1 in package 2: no telescopic bound
+        result = runner.invoke(main, ["--json", "bounds", "factor", "--law", "pca:[1,0,1]",
+                                      "--n-max", "8", "--starts", "2"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert [s for s, _ in doc["chain"]] == ["empirical-minimum-proxy"]
+        assert doc["factor"] == doc["chain"][0][1] > 0
+
     @pytest.mark.parametrize("args, hint, message", [
         (["--law", "theta"], "--law", "piecewise-constant law"),
         (["--law", "psi:2", "--n-max", "3"], "--n-max", "need n >= 4 for this law"),
@@ -511,6 +544,19 @@ class TestEnergyCommand:
         assert len(lines) == 2
         assert lines[1].startswith("0.10000000000000001,")
 
+    def test_step_reads_csv_like_json(self, runner, tmp_path):
+        # a CSV row is a breakpoint and the value to its right; the last value is empty
+        csv_path, json_path = tmp_path / "u.csv", tmp_path / "u.json"
+        csv_path.write_text("# x,value\n0,0\n1,0.05\n2.5,0.15\n4,\n")
+        json_path.write_text(json.dumps(
+            {"breakpoints": [0.0, 1.0, 2.5, 4.0], "values": [0.0, 0.05, 0.15]}))
+        outputs = [runner.invoke(main, ["energy", "step", "--law", "psi:2", "--u", str(path),
+                                        "--deltas", "0.1,0.05"])
+                   for path in (csv_path, json_path)]
+        assert [r.exit_code for r in outputs] == [0, 0]
+        assert outputs[0].output == outputs[1].output
+        assert len(outputs[0].output.splitlines()) == 3
+
     def test_step_non_json_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "u.json"
         path.write_text("not json")
@@ -545,6 +591,17 @@ class TestEnergyCommand:
             exact = 2.0 * (1.0 - d + d * math.log(d))
             assert abs(row["value"] - exact) <= row["error_estimate"]
             assert row["error_estimate"] <= 1e-3 * max(1.0, row["value"])
+
+    def test_pointwise_bump_profile(self, runner):
+        # sin^2(pi x) on [0, 1], of total variation 2
+        result = runner.invoke(main, ["--json", "energy", "pointwise", "--law", "theta",
+                                      "--u", "bump", "--deltas", "1e-1"])
+        assert result.exit_code == 0
+        [row] = json.loads(result.output)
+        want = energy.lambda_quad(AffineThetaLaw(), lambda x: np.sin(np.pi * x) ** 2,
+                                  (0.0, 1.0), 0.1)
+        assert row["value"] == want.value and row["error_estimate"] == want.error_estimate
+        assert row["ratio"] == want.value / (2.0 * math.log(2) * 2.0)
 
     def test_pointwise_ratio_column(self, runner):
         result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",

@@ -158,6 +158,50 @@ class TestScaleFactor:
         law = PiecewiseConstantLaw((1, 1, 1))
         assert law.scale_factor_exact() == Fraction(11, 6)
 
+    @given(st.lists(st.one_of(st.integers(0, 40), st.fractions(0, 40, max_denominator=30),
+                              st.integers(0, 40).map(float)), min_size=1, max_size=12)
+           .filter(any))
+    @example([0, 0, 0, 0, 0, 0, 1.0])
+    @settings(max_examples=100, deadline=None)
+    def test_exact_weights_give_the_exact_sum(self, weights):
+        # read from the measure: the sum of w/k, rounded once for the float value
+        cases = [(PiecewiseConstantLaw(tuple(weights)), enumerate(weights, start=1))]
+        packages = weights[:6]
+        if any(packages):
+            cases.append((PackagedDyadicLaw(tuple(packages)),
+                          [(k, a) for j, a in enumerate(packages, start=1)
+                           for k in range(2 ** (j - 1), 2 ** j)]))
+        for law, steps in cases:
+            want = sum((Fraction(w) / k for k, w in steps), Fraction(0))
+            assert law.scale_factor_exact() == want
+            assert law.scale_factor() == float(want)
+
+    def test_non_integral_float_weight_has_no_exact_value(self):
+        law = PiecewiseConstantLaw((1, 0, 0.3))
+        assert law.scale_factor_exact() is None
+        assert law.scale_factor() == math.fsum([1.0, 0.3 / 3.0])
+
+    @pytest.mark.parametrize("alpha, beta, want", [
+        (3, 1, Fraction(11, 2)), (1, 0.5, Fraction(11, 12)), (2.0, 0.25, Fraction(11, 12))])
+    def test_rescaled_psi2_scales_with_alpha_beta(self, alpha, beta, want):
+        # alpha * beta * 11/6, and a vertical rescaling is the weight-scaled step law
+        law = rescale(PackagedDyadicLaw((1, 1)), alpha, beta)
+        assert want == Fraction(alpha) * Fraction(beta) * Fraction(11, 6)
+        assert law.scale_factor_exact() == want
+        assert law.scale_factor() == float(want)
+        if beta == 1:
+            assert PackagedDyadicLaw((alpha, alpha)).scale_factor_exact() == want
+
+    @pytest.mark.parametrize("law", [
+        AffineThetaLaw(),
+        DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
+        phi_eps(0.01),
+        TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0)),
+        rescale(AffineThetaLaw(), 2, 1),
+    ], ids=lambda law: type(law).__name__)
+    def test_density_laws_have_no_exact_value(self, law):
+        assert law.scale_factor_exact() is None
+
     def test_theta_log2(self):
         assert AffineThetaLaw().scale_factor() == pytest.approx(math.log(2), abs=1e-15)
         oracle = quad_scale_factor(AffineThetaLaw(), nodes=(1.0, 2.0))
@@ -357,6 +401,27 @@ class TestStructure:
         law = PackagedDyadicLaw((2, 0, 1))
         t = np.linspace(0, 10, 301)
         assert np.array_equal(np.asarray(law(t)), np.asarray(law.expand()(t)))
+
+    @pytest.mark.parametrize("make, args, message", [
+        (PiecewiseConstantLaw, (), "weight list must be nonempty"),
+        (PackagedDyadicLaw, (), "package list must be nonempty"),
+        (PiecewiseConstantLaw, (1, -1), "weights must be nonnegative"),
+        (PackagedDyadicLaw, (1, -1), "package weights must be nonnegative"),
+        (PiecewiseConstantLaw, (0, 0), "at least one weight must be positive"),
+        (PackagedDyadicLaw, (0, 0), "at least one package weight must be positive"),
+        (PackagedDyadicLaw, (1,) * 14, "package depth must be at most 13, got 14"),
+        (PackagedDyadicLaw, (0,) * 39 + (1,), "package depth must be at most 13, got 40"),
+    ])
+    def test_weight_check_messages(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(args)
+
+    def test_deepest_package_law(self):
+        law = PackagedDyadicLaw((1,) * 13)
+        assert len(law.steps) == 2 ** 13 - 1
+        # the exact scale factor prints: its terms are within the 4300-digit limit
+        exact = law.scale_factor_exact()
+        assert str(exact) == f"{exact.numerator}/{exact.denominator}"
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
