@@ -34,10 +34,12 @@ def parse_law_spec(spec: str):
             return ModelLaw(int(spec[4:]))
         if spec.startswith("psi:"):
             return PackagedDyadicLaw((1,) * int(spec[4:]))
-        if spec.startswith("pca:"):
-            return PiecewiseConstantLaw(tuple(json.loads(spec[4:])))
-        if spec.startswith("pca2:"):
-            return PackagedDyadicLaw(tuple(json.loads(spec[5:])))
+        if spec.startswith(("pca:", "pca2:")):
+            family, _, text = spec.partition(":")
+            weights = json.loads(text)
+            if not isinstance(weights, list):
+                raise ValueError(f"weights must be a JSON list, got {text}")
+            return (PiecewiseConstantLaw if family == "pca" else PackagedDyadicLaw)(tuple(weights))
         if spec.startswith("zeta:@"):
             with open(spec[6:]) as fh:
                 doc = json.load(fh)
@@ -217,7 +219,7 @@ def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     for n, res in zip(ns, results):
         row = [n, res.value, res.value / n, res.winning_seed]
         if dump_minimizer:
-            row.append(json.dumps([float(x) for x in res.minimizer]))
+            row.append(json.dumps(res.minimizer))
         rows.append(row)
     header = ["n", "value", "value_per_n", "winning_seed"]
     if dump_minimizer:

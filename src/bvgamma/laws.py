@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 __all__ = [
     "InteractionLaw",
@@ -60,10 +61,14 @@ def _finite(xs) -> bool:
 
 
 def _checked_weights(values, list_name: str, name: str) -> tuple:
-    """values as a tuple of step weights: nonempty, finite, nonnegative, not all zero."""
+    """values as a tuple of step weights: nonempty, each a real number (not a bool),
+    finite and nonnegative, not all zero."""
     w = tuple(values)
     if len(w) == 0:
         raise ValueError(f"{list_name} must be nonempty")
+    for x in w:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise TypeError(f"{name} {x!r} is not a number")
     if not _finite(w):
         raise ValueError(f"{name}s must be finite")
     if any(x < 0 for x in w):

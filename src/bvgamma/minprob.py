@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "window_sums",
     "in_domain",
@@ -28,6 +26,7 @@ __all__ = [
 
 def window_sums(lengths, k: int) -> np.ndarray:
     """Sums of k consecutive entries along the last axis: entry i covers [..., i .. i+k-1]."""
+    import numpy as np
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.shape[-1]
     if not 1 <= k <= n:
@@ -45,7 +44,7 @@ def in_domain(lengths, k: int) -> bool:
     For k < len(lengths) a NaN entry also fails, as every window through it
     sums to NaN; for k >= len(lengths) one positive entry suffices.
     """
-    values = np.asarray(lengths, dtype=float).tolist()
+    values = [float(x) for x in lengths]
     run = 0
     blocked = positive = False
     for x in values:
@@ -68,6 +67,7 @@ def in_domain(lengths, k: int) -> bool:
 
 def _log_terms(s_k, s_k1) -> np.ndarray:
     # log-difference form: safe for window sums spanning many magnitudes
+    import numpy as np
     return 2.0 * np.log(s_k1) - np.log(s_k[..., :-1]) - np.log(s_k[..., 1:])
 
 
@@ -84,7 +84,6 @@ def power_cost(lengths, k: int, p: float) -> float:
     """Generalized cost with exponent p > 1; tends to log_cost as p -> 1."""
     if not p > 1:
         raise ValueError("exponent must exceed 1")
-    lengths = np.asarray(lengths, dtype=float)
     if not in_domain(lengths, k):
         raise ValueError(f"tuple has {k} consecutive zeros")
     s_k = window_sums(lengths, k)
@@ -99,7 +98,7 @@ def telescopic_margin(lengths, a: int, b: int) -> float:
 
     Nonnegative for every admissible tuple; exactly zero when b == a.
     """
-    lengths = np.asarray(lengths, dtype=float)
+    import numpy as np
     n = len(lengths)
     if not 1 <= a <= b <= n - 1:
         raise ValueError("need 1 <= a <= b <= n-1")
@@ -196,6 +195,7 @@ class MinProblem:
 
     def value_and_grad(self, lengths) -> tuple:
         """Objective value and its analytic gradient: ``_rows`` on one row."""
+        import numpy as np
         values, grads = self._rows(np.asarray(lengths, dtype=float)[None])
         return float(values[0]), grads[0]
 
@@ -205,6 +205,7 @@ class MinProblem:
         Every reduction runs along a row, so each row's results are bitwise
         those of the row alone.
         """
+        import numpy as np
         n, mu = self.n, self.min_index
         if lengths.shape[-1] != n:
             raise ValueError(f"expected {n} lengths")
@@ -239,7 +240,7 @@ class MinProblem:
 @dataclass
 class MinResult:
     value: float           # objective of the minimizer below (the closed form if certified)
-    minimizer: np.ndarray  # normalized to unit sum
+    minimizer: tuple       # floats, normalized to unit sum
     starts: int
     winning_seed: str      # e.g. "period-3", "smooth-start-17"
     traces: list = field(default_factory=list)  # (seed tag, [objective per iteration])
@@ -249,7 +250,7 @@ class MinResult:
         """JSON view; each trace keeps its first 20 iterations."""
         return {
             "value": self.value,
-            "minimizer": [float(x) for x in self.minimizer],
+            "minimizer": list(self.minimizer),
             "starts": self.starts,
             "winning_seed": self.winning_seed,
             "certified": self.certified,
@@ -274,6 +275,7 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
     1000 iterations.  Returns each row's value and unit-sum minimizer, and its
     trace: the start's value, then the value after each iteration.
     """
+    import numpy as np
     support = np.asarray(starts) > 0
 
     def fun(x, on):
@@ -328,13 +330,12 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
 
 
 def _pattern_seeds(problem: MinProblem):
-    """Periodic 0/1 seeds of every period up to the largest weighted index + 1."""
+    """Periodic 0/1 seeds, as lists, of every period up to the largest weighted index + 1."""
     n, mu = problem.n, problem.min_index
     seen = set()
     for period in range(1, problem.max_index + 2):
         for phase in range(period):
-            seed = np.array([1.0 if (i - phase) % period == 0 else 0.0
-                             for i in range(n)])
+            seed = [1.0 if (i - phase) % period == 0 else 0.0 for i in range(n)]
             key = tuple(seed)
             if key in seen or not in_domain(seed, mu):
                 continue
@@ -343,7 +344,7 @@ def _pattern_seeds(problem: MinProblem):
 
 
 def _certified_minimum(problem: MinProblem):
-    """(minimum, attaining pattern) of a one-step law w*phi_k, else None.
+    """(minimum, attaining 0/1 pattern as a list) of a one-step law w*phi_k, else None.
 
     For n = m*k + r with 0 <= r < k the minimum is w*(m - 1)*log 4.  Write
     S_{i,j} = l_i + ... + l_{i+j-1}.  Merge lemma: for overlapping windows A
@@ -365,8 +366,7 @@ def _certified_minimum(problem: MinProblem):
     (k, w), *rest = problem.law.steps
     if rest:
         return None
-    pattern = np.zeros(problem.n)
-    pattern[problem.n % k::k] = 1.0
+    pattern = [1.0 if i % k == problem.n % k else 0.0 for i in range(problem.n)]
     return float(w) * (problem.n // k - 1) * math.log(4.0), pattern
 
 
@@ -374,19 +374,20 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     """Least objective value over pattern seeds and multi-start descent.
 
     A law with a certified minimum (``_certified_minimum``) returns its
-    attaining pattern at once, unpolished, with the closed form as the value.
-    Otherwise every pattern seed and ``starts`` lognormal starts are the rows
-    of one batched ``_polish``, a numpy L-BFGS whose rows run as if alone, and
-    the value is an upper bound for the infimum.
+    attaining pattern at once, unpolished and without numpy, with the closed
+    form as the value.  Otherwise every pattern seed and ``starts`` lognormal
+    starts are the rows of one batched ``_polish``, a numpy L-BFGS whose rows
+    run as if alone, and the value is an upper bound for the infimum.
     """
     certificate = _certified_minimum(problem)
     if certificate is not None:
         value, pattern = certificate
-        phase = problem.n % problem.min_index
+        ones, phase = divmod(problem.n, problem.min_index)
         tag = f"period-{problem.min_index}" + (f"+{phase}" if phase else "")
-        return MinResult(value, pattern / pattern.sum(), 1, tag, [(tag, [value])],
+        return MinResult(value, tuple(x / ones for x in pattern), 1, tag, [(tag, [value])],
                          certified="block-sum AM-GM bound")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     tags, seeds = map(list, zip(*_pattern_seeds(problem)))
     tags += [f"smooth-start-{s}" for s in range(starts)]
@@ -400,4 +401,5 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
         if val < best_val - tol or (val <= best_val + tol and best_arg is not None
                                     and np.count_nonzero(start) < np.count_nonzero(best_start)):
             best_val, best_arg, best_tag, best_start = val, arg, tag, start
-    return MinResult(best_val, best_arg, len(tags), best_tag, list(zip(tags, traces)))
+    return MinResult(best_val, tuple(best_arg.tolist()), len(tags), best_tag,
+                     list(zip(tags, traces)))

@@ -103,7 +103,7 @@ def test_criterion_01_model_law_minimum(capsys):
         res = minimize(MinProblem(n=n, law=ModelLaw(1)), starts=16, seed=0)
         exact = (n - 1) * math.log(4.0)
         worst_rel = max(worst_rel, abs(res.value - exact) / exact)
-        worst_dev = max(worst_dev, float(np.max(np.abs(res.minimizer - 1.0 / n))))
+        worst_dev = max(worst_dev, float(np.max(np.abs(np.asarray(res.minimizer) - 1.0 / n))))
     ok = worst_rel <= 1e-8 and worst_dev <= 1e-5
     report(capsys, 1, ok,
            f"phi1 minimum (n-1)log4 for n=2..16: rel err {worst_rel:.2e}, "

@@ -90,6 +90,21 @@ class TestLazyLoading:
                               "--starts", "2"]) == {
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
 
+    # a single step law's minimum is certified in closed form, so no array is built
+    @pytest.mark.parametrize("args", [
+        ["minprob", "--law", "phi:3", "--n", "8..16", "--dump-minimizer"],
+        ["minprob", "--law", "phi1", "--n", "8,12,16"],
+        ["minprob", "--law", "pca:[0,0,2.5]", "--n", "7..20"],
+        ["bounds", "factor", "--law", "phi:3"]], ids=" ".join)
+    def test_certified_problems_load_no_numpy(self, args):
+        loaded = _loaded_after(args)
+        assert "bvgamma.minprob" in loaded and "numpy" not in loaded
+
+    @pytest.mark.parametrize("spec", ["psi:2", "pca:[0,0,1,0.5,0.25]"])
+    def test_searched_problems_load_numpy(self, spec):
+        assert _loaded_after(["minprob", "--law", spec, "--n", "12", "--starts", "2"]) == {
+            "bvgamma.cli", "bvgamma.laws", "bvgamma.minprob", "numpy"}
+
     def test_verify_telescope_loads_minprob_only(self):
         assert _loaded_after(["verify", "telescope", "--count", "5"]) == {
             "bvgamma.cli", "bvgamma.minprob", "numpy"}
@@ -202,14 +217,17 @@ class TestLawSpec:
         ("psi:14", "package depth must be at most 13, got 14"),
         ("psi:40", "package depth must be at most 13, got 40"),
         ("pca2:[]", "package list must be nonempty"),
-        ('pca:["a"]', "bad operand type for abs(): 'str'"),
-        ("pca:5", "'int' object is not iterable"),
-        ("pca:null", "'NoneType' object is not iterable"),
-        ("pca2:[[1]]", "bad operand type for abs(): 'list'"),
+        ('pca:["a"]', "weight 'a' is not a number"),
+        ("pca:[true]", "weight True is not a number"),
+        ("pca2:[false,1]", "package weight False is not a number"),
+        ("pca2:[[1]]", "package weight [1] is not a number"),
+        ("pca:5", "weights must be a JSON list, got 5"),
+        ("pca:null", "weights must be a JSON list, got null"),
+        ('pca:{"a":1}', 'weights must be a JSON list, got {"a":1}'),
     ])
     def test_malformed_weights_exit_2(self, runner, spec, message):
-        # configuration errors, not tracebacks: a weight that is not a number raises
-        # TypeError, and a package law deeper than 13 is rejected before it expands
+        # configuration errors, not tracebacks: each message names the bad weight or
+        # payload, and a package law deeper than 13 is rejected before it expands
         result = runner.invoke(main, ["law", "--spec", spec])
         assert result.exit_code == 2
         assert f"bad law spec {spec!r}: {message}" in result.output

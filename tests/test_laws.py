@@ -416,6 +416,22 @@ class TestStructure:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make(args)
 
+    @pytest.mark.parametrize("make, args, message", [
+        (PiecewiseConstantLaw, (True,), "weight True is not a number"),
+        (PackagedDyadicLaw, (False, 1), "package weight False is not a number"),
+        (PiecewiseConstantLaw, (1, "a"), "weight 'a' is not a number"),
+        (PiecewiseConstantLaw, (None,), "weight None is not a number"),
+        (PackagedDyadicLaw, ([1],), r"package weight \[1\] is not a number"),
+    ])
+    def test_non_number_weight_is_named(self, make, args, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            make(args)
+
+    def test_numpy_and_fraction_weights_are_numbers(self):
+        law = PiecewiseConstantLaw((np.int64(1), np.float64(0.5), Fraction(1, 3)))
+        assert law.steps == ((1, 1), (2, 0.5), (3, Fraction(1, 3)))
+        assert PackagedDyadicLaw((np.int64(2),)).steps == ((1, 2),)
+
     def test_deepest_package_law(self):
         law = PackagedDyadicLaw((1,) * 13)
         assert len(law.steps) == 2 ** 13 - 1

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 from collections import Counter
@@ -388,7 +389,7 @@ class TestMinimize:
             res = minimize(MinProblem(n=n, law=ModelLaw(1)), starts=8, seed=0)
             exact = (n - 1) * math.log(4.0)
             assert res.value == pytest.approx(exact, rel=1e-10)
-            assert np.max(np.abs(res.minimizer - 1.0 / n)) < 1e-6
+            assert np.max(np.abs(np.asarray(res.minimizer) - 1.0 / n)) < 1e-6
 
     def test_phi3_period3_pattern(self):
         pb = MinProblem(n=12, law=ModelLaw(3))
@@ -449,9 +450,9 @@ class TestMinimize:
         # period-6+2 at (20, 6), period-7+2 at (30, 7)
         assert res.starts == 1
         seeds = dict(minprob._pattern_seeds(pb))
-        assert seeds[res.winning_seed].tobytes() == _period_pattern(n, k).tobytes()
+        assert np.asarray(seeds[res.winning_seed]).tobytes() == _period_pattern(n, k).tobytes()
         assert res.certified is not None
-        assert res.minimizer.tobytes() == (_period_pattern(n, k) / (n // k)).tobytes()
+        assert np.asarray(res.minimizer).tobytes() == (_period_pattern(n, k) / (n // k)).tobytes()
         assert res.value == pytest.approx((n // k - 1) * math.log(4.0), rel=1e-12)
         assert res.traces == [(res.winning_seed, [res.value])]
 
@@ -659,18 +660,39 @@ class TestCertifiedMinimum:
                 pb = MinProblem(n=n, law=ModelLaw(k))
                 value, pattern = _certified_minimum(pb)
                 assert value == (n // k - 1) * math.log(4.0)
-                assert pattern.tobytes() == _period_pattern(n, k).tobytes()
+                assert np.asarray(pattern).tobytes() == _period_pattern(n, k).tobytes()
                 # window sums of 1 and 2 make the pattern's cost exact
                 assert log_cost(pattern, k) == value
-                assert log_cost(pattern / pattern.sum(), k) == pytest.approx(value, rel=1e-12)
+                assert log_cost(np.asarray(pattern) / np.sum(pattern), k) == pytest.approx(
+                    value, rel=1e-12)
                 res = minimize(pb)
                 assert res.certified is not None and float.hex(res.value) == float.hex(value)
-                assert res.minimizer.tobytes() == (pattern / (n // k)).tobytes()
+                assert (np.asarray(res.minimizer).tobytes()
+                        == (np.asarray(pattern) / (n // k)).tobytes())
+
+    @pytest.mark.parametrize("w", [3, Fraction(7, 3), 0.3], ids=repr)
+    def test_result_is_bitwise_the_numpy_pattern(self, w):
+        # the certified result is built in pure Python; the oracle builds the
+        # pattern with numpy and normalizes it by its sum
+        for k in range(1, 9):
+            for n in range(k + 1, 41):
+                res = minimize(MinProblem(n=n, law=PiecewiseConstantLaw((0,) * (k - 1) + (w,))))
+                p = np.zeros(n)
+                p[n % k::k] = 1
+                value = float(w) * (n // k - 1) * math.log(4.0)
+                minimizer = (p / p.sum()).tolist()
+                assert float.hex(res.value) == float.hex(value)
+                assert [float.hex(x) for x in res.minimizer] == [float.hex(x) for x in minimizer]
+                tag = f"period-{k}" + (f"+{n % k}" if n % k else "")
+                expected = {"value": value, "minimizer": minimizer, "starts": 1,
+                            "winning_seed": tag, "certified": "block-sum AM-GM bound",
+                            "traces": [{"seed": tag, "objective": [value]}]}
+                assert json.dumps(res.to_json()) == json.dumps(expected)
 
     def test_weight_scales_the_minimum(self):
         value, pattern = _certified_minimum(MinProblem(n=12, law=PiecewiseConstantLaw((0, 0, 2.5))))
         assert value == 2.5 * 3 * math.log(4.0)
-        assert pattern.tobytes() == _period_pattern(12, 3).tobytes()
+        assert np.asarray(pattern).tobytes() == _period_pattern(12, 3).tobytes()
 
     @pytest.mark.parametrize("n,law", [
         (8, PackagedDyadicLaw((1, 1))), (9, PiecewiseConstantLaw((1, 0, 1))),
