@@ -162,32 +162,34 @@ def single_package_law(m: int) -> PackagedDyadicLaw:
     return PackagedDyadicLaw(packages=(0,) * (m - 1) + (1,))
 
 
-def domination_margins(m: int, grid):
-    """Margins of the ramp law over its rescaled single-package minorant."""
-    import numpy as np
+def domination_margins(m: int, grid) -> list:
+    """Margins of the ramp law over its rescaled single-package minorant at each grid
+    point, both read from their threshold measures."""
     if m < 2:
         raise ValueError("the rescaled minorant needs m >= 2")
-    theta = AffineThetaLaw()
-    pkg = single_package_law(m)
-    grid = np.asarray(grid, dtype=float)
+    theta = AffineThetaLaw().threshold_measure()
+    pkg = single_package_law(m).threshold_measure()
     scale = 2.0 ** (m - 1)
-    return theta(grid) - pkg((scale - 1.0) * grid) / scale
+    return [_mass_below(theta, t) - _mass_below(pkg, (scale - 1.0) * t) / scale for t in grid]
 
 
 _DOMINATION_PACKAGES = range(2, 9)
 
 
+def _domination_grid(count: int) -> list:
+    """``count`` evenly spaced points of [0, 4], bitwise ``np.linspace(0.0, 4.0, count)``."""
+    return [i * (4.0 / (count - 1)) + 0.0 for i in range(count - 1)] + [4.0]
+
+
 def suite_domination(rng, count: int) -> tuple:
     """Least margin over the packages on ``count`` points of [0, 4] (no draws), with (m, t)."""
-    import numpy as np
-    grid = np.linspace(0.0, 4.0, max(count, 2))
+    grid = _domination_grid(max(count, 2))
     worst, witness = math.inf, None
     for m in _DOMINATION_PACKAGES:
         margins = domination_margins(m, grid)
-        i = int(np.argmin(margins))
+        i = min(range(len(grid)), key=margins.__getitem__)
         if margins[i] < worst:
-            worst = float(margins[i])
-            witness = {"m": m, "t": float(grid[i])}
+            worst, witness = margins[i], {"m": m, "t": grid[i]}
     return worst, witness
 
 
@@ -231,6 +233,35 @@ def theta_bound() -> BoundReport:
     )
 
 
+def _gauss_legendre(q: int) -> tuple:
+    """Nodes, ascending, and weights of the q-point Gauss-Legendre rule on [-1, 1].
+
+    Each root of P_q is polished by Newton's method from sin(pi (q - 2i - 1) / (2q + 1)),
+    that is cos(pi (i + 3/4) / (q + 1/2)) but exactly 0 at the middle root of an odd
+    q, with P_q and P_q' from the three-term recurrence; the rule is symmetric.
+    """
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for k in range(2, q + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, q * (p0 - x * p1) / (1.0 - x * x)
+
+    nodes, weights = [0.0] * q, [0.0] * q
+    for i in range((q + 1) // 2):
+        x, dx = math.sin(math.pi * (q - 2 * i - 1) / (2 * q + 1)), 1.0
+        while abs(dx) > 1e-15:
+            p, dp = legendre(x)
+            dx = p / dp
+            x -= dx
+        dp = legendre(x)[1]
+        nodes[i], nodes[-1 - i] = -x, x
+        weights[i] = weights[-1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the rule integrates 1 exactly; rescaling to that keeps the weights' rounding
+    # errors from adding up
+    total = math.fsum(weights)
+    return nodes, [w * (2.0 / total) for w in weights]
+
+
 def zeta_bound(law: DyadicAffineLaw) -> BoundReport:
     """Shape factor of a dyadic-affine law: exactly one.
 
@@ -241,26 +272,28 @@ def zeta_bound(law: DyadicAffineLaw) -> BoundReport:
     right.  That is checked first, then the series form of the scale factor
     against Gauss-Legendre quadrature of the law's values.
     """
-    import numpy as np
+    measure = law.threshold_measure()
     zmin, zmax = law.nodes[0][0], law.nodes[-1][0]
-    zs, given, want = np.arange(zmin - 1, zmax + 2), dict(law.nodes), [0.0]
-    for z in zs.tolist():
-        want.append(given.get(z, want[-1]))
-    err = np.abs(law(np.exp2(zs)) - want[1:])
-    worst = float(err.max())
-    if worst > 1e-10 * max(1.0, want[-1]):
-        t_bad = 2.0 ** int(zs[np.argmax(err)])
+    given, want, worst, t_bad = dict(law.nodes), 0.0, 0.0, None
+    for z in range(zmin - 1, zmax + 2):
+        want = given.get(z, want)
+        err = abs(_mass_below(measure, 2.0 ** z) - want)
+        if err > worst:
+            worst, t_bad = err, 2.0 ** z
+    if worst > 1e-10 * max(1.0, want):
         raise AssertionError(f"ramp-series representation fails at t={t_bad}: {worst}")
 
     n_series = law.scale_factor()
     # law(t)/t^2 = (alpha + beta*t)/t^2 on each cell [2^z, 2^(z+1)] has its pole at -3
     # of the cell's reference interval, so 20 Gauss-Legendre points are exact to rounding
-    x, w = np.polynomial.legendre.leggauss(20)
-    left = np.exp2(np.arange(zmin - 1, zmax, dtype=float))[:, None]
-    t = left * (1.5 + 0.5 * x)
-    body = math.fsum((0.5 * left * w * law(t) / t ** 2).ravel())
+    rule, parts = list(zip(*_gauss_legendre(20))), []
+    for z in range(zmin - 1, zmax):
+        left = 2.0 ** z
+        for x, w in rule:
+            t = left * (1.5 + 0.5 * x)
+            parts.append(0.5 * left * w * _mass_below(measure, t) / (t * t))
     tail = law.nodes[-1][1] / 2.0 ** zmax
-    n_quad = body + tail
+    n_quad = math.fsum(parts) + tail
     if abs(n_series - n_quad) > 1e-12 * max(1.0, abs(n_quad)):
         raise AssertionError(
             f"scale-factor series {n_series} disagrees with quadrature {n_quad}")

@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw
-from .minprob import in_domain, log_cost
-from .stepfn import (
-    StepFunction,
-    gaps,
-    random_step_function,
-    rearrange,
-    segment,
-    truncate,
-)
+
+if TYPE_CHECKING:
+    from .stepfn import StepFunction
 
 __all__ = [
     "EnergyResult",
@@ -49,26 +44,44 @@ def _snap_to_integer(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t - r) <= 1e-9 * np.maximum(1.0, np.abs(t)), r, t)
 
 
+# piece pairs evaluated per numpy pass of _pair_energy
+_PAIR_BLOCK = 4096
+
+
 def _pair_energy(breakpoints, values, law, delta) -> float:
     """Sum over piece pairs i < j of law(|v_j - v_i| / delta) times the pair integral.
 
     For pieces (a1, a2) left of (b1, b2), the kernel integral over both orders
     is 2 * delta * log((b1-a1)(b2-a2) / ((b1-a2)(b2-a1))).  The sum is +inf
     when an adjacent pair has positive weight (the diagonal contact is then
-    non-integrable).  Rows are taken one at a time, so memory stays linear in
-    the number of pieces.
+    non-integrable), which one law call over the adjacent pairs decides first.
+    The other pairs are taken in blocks of whole rows i, at most _PAIR_BLOCK
+    pairs (or one longer row) each, so memory is bounded per block; each row
+    is still summed on its own, in row order.
     """
     bp = np.asarray(breakpoints, dtype=float)
     vs = np.asarray(values, dtype=float)
-    total = 0.0
-    for i in range(len(vs) - 1):
-        w = law(_snap_to_integer(np.abs(vs[i + 1:] - vs[i]) / delta))
-        if w[0] > 0:
-            return math.inf
-        # pieces j >= i + 2: (x_j, x_{j+1}) against (x_i, x_{i+1})
-        near, far = bp[i + 2:-1], bp[i + 3:]
+    if np.any(law(_snap_to_integer(np.abs(np.diff(vs)) / delta)) > 0):
+        return math.inf
+    n = len(vs)
+    # row i holds the pieces j >= i + 2, and first[i] pairs come before it
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 2, 0, -1))])
+    total, r0 = 0.0, 0
+    while r0 < n - 2:
+        r1 = max(r0 + 1, int(np.searchsorted(first, first[r0] + _PAIR_BLOCK, "right")) - 1)
+        rows = np.arange(r0, r1)
+        i = np.repeat(rows, n - 2 - rows)
+        j = i + 2 + np.arange(len(i)) - (first[i] - first[r0])
+        w = law(_snap_to_integer(np.abs(vs[j] - vs[i]) / delta))
+        # (x_j, x_{j+1}) against (x_i, x_{i+1})
+        near, far = bp[j], bp[j + 1]
         ratio = ((near - bp[i]) * (far - bp[i + 1])) / ((near - bp[i + 1]) * (far - bp[i]))
-        total += float(np.sum(w[1:] * np.log(ratio)))
+        terms = w * np.log(ratio)
+        start = 0
+        for r in range(r0, r1):
+            total += float(np.sum(terms[start:start + n - 2 - r]))
+            start += n - 2 - r
+        r0 = r1
     return 2.0 * delta * total
 
 
@@ -107,6 +120,8 @@ def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
     of the gaps between transitions, over the steps k with at least k + 1
     gaps; it is +inf when k consecutive gaps vanish for the smallest such k.
     """
+    from .minprob import in_domain, log_cost
+    from .stepfn import gaps
     steps = getattr(law, "steps", None)
     if steps is None:
         raise TypeError("expected a piecewise-constant interaction law")
@@ -124,6 +139,7 @@ def _chain_margin(bigger: float, smaller: float) -> float:
 
 def suite_rearrange(rng, count: int) -> tuple:
     """Least hostility loss under rearrangement over ``count`` random arrangements."""
+    from .stepfn import random_step_function, rearrange
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 20, levels=7)
@@ -150,6 +166,7 @@ def suite_chain(rng, count: int) -> tuple:
     Each of ``count`` draws takes a random step function, truncation window,
     lattice step and law; the witness names the stage of the worst drop.
     """
+    from .stepfn import random_step_function, rearrange, segment, truncate
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 10)

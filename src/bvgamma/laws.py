@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral, Real
 
 __all__ = [
     "InteractionLaw",
@@ -250,6 +250,9 @@ class DyadicAffineLaw(InteractionLaw):
     __call__ = InteractionLaw.__call__
 
     def __post_init__(self):
+        for z, v in self.nodes:
+            if isinstance(z, bool) or not isinstance(z, Integral):
+                raise TypeError(f"node index {z!r} of node [{z!r}, {v!r}] is not an integer")
         pairs = tuple(sorted((int(z), float(v)) for z, v in self.nodes))
         object.__setattr__(self, "nodes", pairs)
         if not pairs:

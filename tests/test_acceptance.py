@@ -262,7 +262,7 @@ def test_criterion_08_shape_factor_table(capsys):
 
 def test_criterion_09_domination(capsys):
     grid = np.linspace(0.0, 4.0, 10_000)
-    worst = min(float(domination_margins(m, grid).min()) for m in range(2, 9))
+    worst = min(min(domination_margins(m, grid)) for m in range(2, 9))
     ok = worst >= -1e-12
     report(capsys, 9, ok, f"ramp vs rescaled package laws on 10^4 grid points: "
                           f"min margin {worst:.2e}")

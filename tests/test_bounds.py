@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -96,7 +97,7 @@ class TestThetaBound:
     def test_domination_margins_nonnegative(self):
         grid = np.linspace(0.0, 4.0, 10_001)
         for m in range(2, 9):
-            assert float(domination_margins(m, grid).min()) >= -1e-12
+            assert min(domination_margins(m, grid)) >= -1e-12
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_exact_least_margin(self, m):
@@ -107,7 +108,7 @@ class TestThetaBound:
         assert t in {Fraction(k, s - 1) for k in range(s, 2 * s)}
         assert (worst, t) == (0, Fraction(2 * s - 1, s - 1))
         grid = np.linspace(0.0, 4.0, 10_001)
-        assert worst <= float(domination_margins(m, grid).min())
+        assert worst <= min(domination_margins(m, grid))
         assert float(domination_margins(m, [float(t) + 1e-9])[0]) == pytest.approx(
             float(worst), abs=1e-8)
 
@@ -125,11 +126,52 @@ class TestThetaBound:
         for t in (1.01, 1.5, 1.99):
             assert float(domination_margins(4, [t])[0]) >= 0.0
 
+    @pytest.mark.parametrize("count", [2, 3, 200, 10_001])
+    def test_suite_grid_is_linspace(self, count):
+        want = np.linspace(0.0, 4.0, count).tolist()
+        assert [t.hex() for t in bounds._domination_grid(count)] == [t.hex() for t in want]
+
+    def test_margins_are_bitwise_the_law_evaluation(self):
+        # read from the two measures in Python, the margins are the margins of the laws'
+        # numpy evaluation, on a grid and at every atom of each minorant
+        for m in range(2, 9):
+            s = 2.0 ** (m - 1)
+            grid = np.concatenate([np.linspace(0.0, 4.0, 2001),
+                                   np.arange(s, 2 * s) / (s - 1)])
+            want = AffineThetaLaw()(grid) - single_package_law(m)((s - 1.0) * grid) / s
+            got = domination_margins(m, grid.tolist())
+            assert type(got) is list
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
     def test_single_package_is_packaged(self):
         law = single_package_law(3)
         assert law.packages == (0, 0, 1)
         assert law(4.5) == 1.0
         assert law(4.0) == 0.0
+
+
+class TestGaussLegendre:
+    @staticmethod
+    def _exact_weights(q, nodes):
+        # 2 / ((1 - x^2) P_q'(x)^2), with P_q' = q (x P_q - P_(q-1)) / (x^2 - 1), at the
+        # roots refined in 40 digits
+        weights = []
+        with mpmath.workdps(40):
+            for x in nodes:
+                r = mpmath.findroot(lambda t: mpmath.legendre(q, t), mpmath.mpf(x))
+                dp = q * (r * mpmath.legendre(q, r) - mpmath.legendre(q - 1, r)) / (r * r - 1)
+                weights.append(float(2 / ((1 - r * r) * dp * dp)))
+        return weights
+
+    @pytest.mark.parametrize("q", range(1, 25))
+    def test_matches_leggauss(self, q):
+        nodes, weights = bounds._gauss_legendre(q)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(q)
+        assert np.max(np.abs(np.array(nodes) - want_nodes)) <= 1e-15
+        assert nodes == sorted(nodes) and nodes == [-x for x in reversed(nodes)]
+        # leggauss's own weights are up to 1.8e-15 off the exact ones (q = 18)
+        assert np.max(np.abs(np.array(weights) - want_weights)) <= 2e-15
+        assert np.max(np.abs(np.array(weights) - self._exact_weights(q, nodes))) <= 1e-15
 
 
 class TestZetaBound:

@@ -79,16 +79,37 @@ class TestLazyLoading:
     def test_exact_reports_load_no_numpy(self, args):
         assert not _loaded_after(args) & {"numpy", "bvgamma.minprob"}
 
-    def test_array_commands_load_numpy(self, tmp_path):
+    def test_domination_and_zeta_checks_load_no_numpy(self, tmp_path):
+        # both read their laws from the threshold measures in Python: the domination
+        # grid draws nothing, and the zeta quadrature rule is built in bounds.py
         nodes = tmp_path / "zeta.json"
         nodes.write_text(json.dumps({"nodes": [[-2, 0.25], [0, 0.5], [3, 1.75]]}))
+        assert _loaded_after(["bounds", "zeta", "--f", str(nodes)]) == {
+            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
+        assert _loaded_after(["verify", "domination", "--count", "50"]) == {
+            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
+
+    def test_array_commands_load_numpy(self):
         assert _loaded_after(["law", "--spec", "psi:2", "--probe", "0.5"]) == {
             "bvgamma.cli", "bvgamma.laws", "numpy"}
-        assert _loaded_after(["bounds", "zeta", "--f", str(nodes)]) == {
-            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "numpy"}
         assert _loaded_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
                               "--starts", "2"]) == {
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
+
+    def test_energy_pointwise_loads_neither_stepfn_nor_minprob(self):
+        loaded = _loaded_after(["energy", "pointwise", "--law", "theta", "--deltas", "1e-1"])
+        assert "bvgamma.energy" in loaded
+        assert not loaded & {"bvgamma.stepfn", "bvgamma.minprob"}
+
+    def test_step_energies_load_no_minprob(self, tmp_path):
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3], "values": [0, 0.5, 1]}))
+        for args in (["energy", "step", "--law", "phi1", "--u", str(u), "--deltas", "0.5"],
+                     ["verify", "rearrange", "--count", "5"],
+                     ["verify", "chain", "--count", "5"]):
+            loaded = _loaded_after(args)
+            assert {"bvgamma.energy", "bvgamma.stepfn"} <= loaded
+            assert "bvgamma.minprob" not in loaded, args
 
     # a single step law's minimum is certified in closed form, so no array is built
     @pytest.mark.parametrize("args", [
@@ -240,6 +261,20 @@ class TestLawSpec:
         result = runner.invoke(main, [arg.format(path) for arg in command])
         assert result.exit_code == 2
         assert "node values must be finite" in result.output
+
+    @pytest.mark.parametrize("command", [["law", "--spec", "zeta:@{}", "--report", "N"],
+                                         ["bounds", "zeta", "--f", "{}"]])
+    @pytest.mark.parametrize("nodes, named", [
+        ("[[-2.7, 0.25], [0, 0.5], [3, 1.75]]", "node index -2.7 of node [-2.7, 0.25]"),
+        ("[[-2, 0.25], [0, 0.5], [true, 1.75]]", "node index True of node [True, 1.75]"),
+    ])
+    def test_non_integer_node_index_exits_2(self, runner, tmp_path, command, nodes, named):
+        # truncated, these files would read as the laws of a node at -2 and at 1
+        path = tmp_path / "zeta.json"
+        path.write_text(f'{{"nodes": {nodes}}}')
+        result = runner.invoke(main, [arg.format(path) for arg in command])
+        assert result.exit_code == 2
+        assert f"{named} is not an integer" in result.output
 
     def test_zeta_variant_document(self, runner, tmp_path):
         nodes = [[-2, 0.1], [0, 0.5], [2, 1.5]]

@@ -26,6 +26,7 @@ from bvgamma.minprob import in_domain, log_cost
 from bvgamma.stepfn import (
     StepFunction,
     gaps,
+    random_step_function,
     rearrange,
     staircase_from_gaps,
     transition_abscissae,
@@ -216,6 +217,50 @@ class TestPairKernel:
         # unless the ratio is snapped to the threshold
         u = StepFunction((0, 1, 2, 3), (0.8, 0.9, 1.1))
         assert lambda_step(ModelLaw(3), u, 0.1).value == 0.0
+
+    # past the adjacent ones, 90, 91 and 92 pieces have 3916, 4005 and 4095 pairs, one
+    # block of 4096; 93 and 94 take two, and 300 pieces about a dozen
+    @pytest.mark.parametrize("pieces", [2, 20, 90, 91, 92, 93, 94, 300])
+    @pytest.mark.filterwarnings("error")
+    def test_blocks_are_bitwise_the_row_loop(self, pieces):
+        rng = np.random.default_rng(pieces)
+        laws = [*self.LAWS, ModelLaw(1), AffineThetaLaw()]
+        infinite = 0
+        trials = 4 if pieces > 100 else 10
+        for trial in range(trials):
+            bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, pieces))])
+            # rises of 0..2 lattice units, scaled up on odd trials so that adjacent
+            # pairs reach the laws' thresholds and the energy is +inf
+            vs = np.cumsum(rng.integers(0, 3, pieces)) * (0.05 if trial % 2 == 0 else 0.5)
+            for law in laws:
+                for delta in (0.2, 0.5, 1.0):
+                    got = energy._pair_energy(bp, vs, law, delta)
+                    assert got.hex() == _pair_energy_rows(bp, vs, law, delta).hex()
+                    infinite += got == math.inf
+        assert 0 < infinite < trials * len(laws) * 3
+
+    def test_hostility_matches_the_row_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            u = random_step_function(rng, 20, levels=7)
+            k = int(rng.integers(1, 6))
+            want = _pair_energy_rows(u.breakpoints, np.round(u.values), ModelLaw(k), 1.0)
+            assert hostility(1.0, u, k).value.hex() == want.hex()
+
+
+def _pair_energy_rows(breakpoints, values, law, delta):
+    """One row of piece pairs per numpy pass: the reference for the blocked kernel."""
+    bp = np.asarray(breakpoints, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    total = 0.0
+    for i in range(len(vs) - 1):
+        w = law(energy._snap_to_integer(np.abs(vs[i + 1:] - vs[i]) / delta))
+        if w[0] > 0:
+            return math.inf
+        near, far = bp[i + 2:-1], bp[i + 3:]
+        ratio = ((near - bp[i]) * (far - bp[i + 1])) / ((near - bp[i + 1]) * (far - bp[i]))
+        total += float(np.sum(w[1:] * np.log(ratio)))
+    return 2.0 * delta * total
 
 
 def _lambda_strip_loop(law, u, delta):

@@ -432,6 +432,22 @@ class TestStructure:
         assert law.steps == ((1, 1), (2, 0.5), (3, Fraction(1, 3)))
         assert PackagedDyadicLaw((np.int64(2),)).steps == ((1, 2),)
 
+    @pytest.mark.parametrize("nodes, message", [
+        (((-2.7, 0.25), (0, 0.5), (3, 1.75)), r"node index -2\.7 of node \[-2\.7, 0\.25\]"),
+        (((-2, 0.25), (0, 0.5), (True, 1.75)), r"node index True of node \[True, 1\.75\]"),
+        (((2.0, 1.0),), r"node index 2\.0 of node \[2\.0, 1\.0\]"),
+        ((("1", 1.0),), r"node index '1' of node \['1', 1\.0\]"),
+    ])
+    def test_non_integer_node_index_is_named(self, nodes, message):
+        # an index is not truncated (2.7 to 2) or read from a bool (True as 1)
+        with pytest.raises(TypeError, match=f"^{message} is not an integer$"):
+            DyadicAffineLaw(nodes=nodes)
+
+    def test_numpy_node_index_is_an_integer(self):
+        law = DyadicAffineLaw(nodes=((np.int64(1), 1.0), (np.int32(-1), 0.5)))
+        assert law.nodes == ((-1, 0.5), (1, 1.0))
+        assert all(type(z) is int for z, _ in law.nodes)
+
     def test_deepest_package_law(self):
         law = PackagedDyadicLaw((1,) * 13)
         assert len(law.steps) == 2 ** 13 - 1
