@@ -1,20 +1,19 @@
 """Non-local energies of step functions and smooth functions on an interval.
 
 The double-integral energy weights each pair (x, y) by law(|u(y)-u(x)|/delta)
-times the singular kernel delta/(y-x)^2.  For step functions the integral has
-a closed form per pair of pieces; for smooth functions it is exact on the
-piecewise-linear interpolant of a sampling grid, threshold by threshold.
+times the singular kernel delta/(y-x)^2, threshold by threshold: for step functions
+the pair integrals telescope over runs of pieces; for smooth functions it is exact
+on the piecewise-linear interpolant of a sampling grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw
+from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw, _mass_below
 
 if TYPE_CHECKING:
     from .stepfn import StepFunction
@@ -38,51 +37,58 @@ class EnergyResult:
     error_estimate: float = 0.0
 
 
-def _snap_to_integer(t: np.ndarray) -> np.ndarray:
-    """Snap near-integer jump ratios so lattice staircases hit thresholds exactly."""
-    r = np.round(t)
-    return np.where(np.abs(t - r) <= 1e-9 * np.maximum(1.0, np.abs(t)), r, t)
+def _snap(t: float) -> float:
+    """Snap a near-integer jump ratio so lattice staircases hit thresholds exactly."""
+    r = round(t)
+    return float(r) if abs(t - r) <= 1e-9 * max(1.0, abs(t)) else t
 
 
-# piece pairs evaluated per numpy pass of _pair_energy
-_PAIR_BLOCK = 4096
+def _step_energy(x, v, law, delta) -> float:
+    """Sum over piece pairs p < q of law(|v_q - v_p| / delta) times the pair integral,
+    threshold by threshold of the law's measure (``InteractionLaw.threshold_measure``).
 
-
-def _pair_energy(breakpoints, values, law, delta) -> float:
-    """Sum over piece pairs i < j of law(|v_j - v_i| / delta) times the pair integral.
-
-    For pieces (a1, a2) left of (b1, b2), the kernel integral over both orders
-    is 2 * delta * log((b1-a1)(b2-a2) / ((b1-a2)(b2-a1))).  The sum is +inf
-    when an adjacent pair has positive weight (the diagonal contact is then
-    non-integrable), which one law call over the adjacent pairs decides first.
-    The other pairs are taken in blocks of whole rows i, at most _PAIR_BLOCK
-    pairs (or one longer row) each, so memory is bounded per block; each row
-    is still summed on its own, in row order.
+    The pair integral, both orders, is 2 delta T(p, q), a mixed second difference of
+    log(x_b - x_a); so T summed over q in [a, b) telescopes to one well-conditioned
+    log1p(l_p (x_b - x_a) / ((x_a - x_{p+1})(x_b - x_p))), l_p = x_{p+1} - x_p.  In each
+    disjoint maximal monotone run, the q > p + 1 whose snapped ratio exceeds a threshold
+    s form a prefix and a suffix, found by bisection.  An atom weights them by its mass;
+    a density piece on (s0, s1) does so at s1, and weights the pairs in (s0, s1] one by
+    one.  It is +inf when an adjacent pair has positive weight, decided first.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    vs = np.asarray(values, dtype=float)
-    if np.any(law(_snap_to_integer(np.abs(np.diff(vs)) / delta)) > 0):
+    measure = atoms, densities = law.threshold_measure()
+    if any(_mass_below(measure, _snap(abs(b - a) / delta)) > 0 for a, b in zip(v, v[1:])):
         return math.inf
-    n = len(vs)
-    # row i holds the pieces j >= i + 2, and first[i] pairs come before it
-    first = np.concatenate([[0], np.cumsum(np.arange(n - 2, 0, -1))])
-    total, r0 = 0.0, 0
-    while r0 < n - 2:
-        r1 = max(r0 + 1, int(np.searchsorted(first, first[r0] + _PAIR_BLOCK, "right")) - 1)
-        rows = np.arange(r0, r1)
-        i = np.repeat(rows, n - 2 - rows)
-        j = i + 2 + np.arange(len(i)) - (first[i] - first[r0])
-        w = law(_snap_to_integer(np.abs(vs[j] - vs[i]) / delta))
-        # (x_j, x_{j+1}) against (x_i, x_{i+1})
-        near, far = bp[j], bp[j + 1]
-        ratio = ((near - bp[i]) * (far - bp[i + 1])) / ((near - bp[i + 1]) * (far - bp[i]))
-        terms = w * np.log(ratio)
-        start = 0
-        for r in range(r0, r1):
-            total += float(np.sum(terms[start:start + n - 2 - r]))
-            start += n - 2 - r
-        r0 = r1
-    return 2.0 * delta * total
+    levels = sorted([*((s, w, None) for s, w in atoms),  # (s, mass past s, piece)
+                     *((d[1], _mass_below(((), (d,)), d[1]), d) for d in densities)],
+                    key=lambda level: level[0])
+    runs = [[0, 1, 0]]  # [first, end, direction] of the disjoint maximal monotone runs
+    for i in range(1, len(v)):
+        step = (v[i] > v[i - 1]) - (v[i] < v[i - 1])
+        if step * runs[-1][2] < 0:
+            runs.append([i, i + 1, 0])
+        else:
+            runs[-1][1:] = i + 1, runs[-1][2] or step
+    parts = []
+    for p in range(len(v) - 2):
+        vp, x0, x1 = v[p], x[p], x[p + 1]
+
+        def term(a, b):
+            return math.log1p((x1 - x0) * (x[b] - x[a]) / ((x[a] - x1) * (x[b] - x0)))
+
+        for lo, hi, sign in runs:
+            lo, sign = max(lo, p + 2), sign or 1  # a run of one value rises
+            # signed to rise along the run, the snapped ratio is < -s before pre and > s from suf
+            key, pre, suf = (lambda y: sign * _snap((y - vp) / delta)), hi, lo
+            for s, w, piece in levels if lo < hi else ():
+                pre = bisect_left(v, -s, lo, pre, key=key)
+                suf = bisect_right(v, s, max(pre, suf), hi, key=key)
+                parts += [w * term(a, b) for a, b in ((lo, pre), (suf, hi)) if a < b]
+                if piece:
+                    pre0 = bisect_left(v, -piece[0], pre, hi, key=key)
+                    suf0 = bisect_right(v, piece[0], pre0, suf, key=key)
+                    parts += [_mass_below(((), (piece,)), _snap(abs(v[q] - vp) / delta))
+                              * term(q, q + 1) for q in (*range(pre, pre0), *range(suf0, suf))]
+    return 2.0 * delta * math.fsum(parts)
 
 
 def hostility(delta: float, u: StepFunction, k: int) -> EnergyResult:
@@ -93,11 +99,10 @@ def hostility(delta: float, u: StepFunction, k: int) -> EnergyResult:
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    vals = np.asarray(u.values)
-    levels = np.round(vals)
-    if np.any(np.abs(vals - levels) > 1e-9 * np.maximum(1.0, np.abs(vals))):
+    levels = [float(round(v)) for v in u.values]
+    if any(abs(v - r) > 1e-9 * max(1.0, abs(v)) for v, r in zip(u.values, levels)):
         raise ValueError("hostility needs an integer-valued arrangement")
-    return EnergyResult(delta * _pair_energy(u.breakpoints, levels, ModelLaw(k), 1.0), "exact")
+    return EnergyResult(delta * _step_energy(u.breakpoints, levels, ModelLaw(k), 1.0), "exact")
 
 
 def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyResult:
@@ -108,7 +113,7 @@ def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyRes
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    return EnergyResult(_pair_energy(u.breakpoints, u.values, law, delta), "exact")
+    return EnergyResult(_step_energy(u.breakpoints, u.values, law, delta), "exact")
 
 
 def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
@@ -153,11 +158,8 @@ def suite_rearrange(rng, count: int) -> tuple:
     return worst, witness
 
 
-_CHAIN_LAWS = (
-    ("phi1", ModelLaw(1)),
-    ("psi:2", PackagedDyadicLaw((1, 1))),
-    ("pca2:[0,0,1]", PackagedDyadicLaw((0, 0, 1))),
-)
+_CHAIN_LAWS = (("phi1", ModelLaw(1)), ("psi:2", PackagedDyadicLaw((1, 1))),
+               ("pca2:[0,0,1]", PackagedDyadicLaw((0, 0, 1))))
 
 
 def suite_chain(rng, count: int) -> tuple:
@@ -195,6 +197,7 @@ def _runs(x: np.ndarray, samples: np.ndarray) -> list:
     nondecreasing v = d * samples on its nodes, then -v on the nodes in reverse, each
     as a ``_cut`` triple (v, nodes, slope).
     """
+    import numpy as np
     s = np.sign(np.diff(samples))
     moves = np.flatnonzero(s)
     if len(moves) == 0:
@@ -224,6 +227,7 @@ def _cut(v: np.ndarray, y: np.ndarray, slope: np.ndarray, level: np.ndarray) -> 
     at a piece's end level is not crossed inside the piece, and levels past the end of v
     cut at the last node.
     """
+    import numpy as np
     mid = 0.5 * (level[:-1] + level[1:])
     # the last node at or below mid (np.interp finds it faster than np.searchsorted)
     j = np.interp(mid, v, np.arange(len(v), dtype=float)).astype(int)
@@ -235,6 +239,7 @@ def _cut(v: np.ndarray, y: np.ndarray, slope: np.ndarray, level: np.ndarray) -> 
 def _inverse_integral(h: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Integral of 1/d over pieces of length h on which d > 0 runs linearly from d1 to d2:
     h over the logarithmic mean of d1 and d2."""
+    import numpy as np
     r = d2 / d1 - 1.0
     return h / d1 * np.divide(np.log1p(r), r, out=np.ones_like(r), where=r != 0)
 
@@ -252,6 +257,7 @@ def _crossing_measure(runs: list, tau: float) -> float:
     on each piece U(x) and c are linear in x, so both terms integrate in closed form
     (``_inverse_integral``).
     """
+    import numpy as np
     total = 0.0
     for i, (xa, ua, sa, _) in enumerate(runs):
         for j, (_, _, sb, views) in enumerate(runs[i:]):
@@ -289,6 +295,7 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     within ``tol`` (relative, finite and > 0); past 2^17 intervals it raises
     RuntimeError.
     """
+    import numpy as np
     # the error, about 1e-5 relative at 2^10 intervals and falling as n^-2, is near
     # 1e-9 here; the cap bounds the work spent on a tol that cannot be met
     max_grid = 1 << 17

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "StepFunction",
@@ -44,11 +43,11 @@ class StepFunction:
 
     @property
     def lengths(self):
-        xs = np.asarray(self.breakpoints)
-        return tuple(np.diff(xs))
+        return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
 
     def __call__(self, x):
         """Evaluate at x (value at a breakpoint is taken from the right piece)."""
+        import numpy as np
         xs = np.asarray(self.breakpoints)
         vs = np.asarray(self.values)
         i = np.clip(np.searchsorted(xs, np.asarray(x, dtype=float), side="right") - 1,
@@ -125,15 +124,11 @@ def segment(u: StepFunction, delta: float) -> StepFunction:
 def rearrange(u: StepFunction) -> StepFunction:
     """Nondecreasing function with the same level-set measures."""
     order = sorted(range(len(u.values)), key=lambda i: u.values[i])
-    xs = [u.breakpoints[0]]
-    vs = []
-    lengths = u.lengths
+    xs, lengths = [u.breakpoints[0]], u.lengths
     for i in order:
         xs.append(xs[-1] + lengths[i])
-        vs.append(u.values[i])
-    # guard against accumulation drift at the right endpoint
-    xs[-1] = u.breakpoints[-1]
-    return StepFunction(tuple(xs), tuple(vs)).canonical()
+    xs[-1] = u.breakpoints[-1]  # guard against accumulation drift at the right endpoint
+    return StepFunction(tuple(xs), tuple(u.values[i] for i in order)).canonical()
 
 
 def oscillation(u: StepFunction) -> float:
@@ -167,8 +162,8 @@ def transition_abscissae(u: StepFunction, delta: float) -> tuple:
         raise ValueError("transition abscissae need a nondecreasing function")
     ks = level_indices(u, delta)
     # the first piece at or above each level starts at its transition
-    firsts = np.searchsorted(ks, np.arange(ks[0] + 1, ks[-1] + 1))
-    return (u.breakpoints[0],) + tuple(u.breakpoints[p] for p in firsts)
+    return (u.breakpoints[0],) + tuple(u.breakpoints[bisect_left(ks, k)]
+                                       for k in range(ks[0] + 1, ks[-1] + 1))
 
 
 def gaps(u: StepFunction, delta: float) -> tuple:
@@ -194,16 +189,12 @@ def staircase_from_gaps(lengths, delta: float, start: float = 0.0,
         raise ValueError("first length must be positive")
     if any(l < 0 for l in lengths):
         raise ValueError("lengths must be nonnegative")
-    xs = [start]
-    vs = []
-    level = 0
-    pos = start
-    for l in lengths:
+    xs, vs, pos = [start], [], start
+    for level, l in enumerate(lengths):
         if l > 0:
             pos += l
             xs.append(pos)
             vs.append(level * delta)
-        level += 1
     xs.append(pos + tail)
     vs.append(len(lengths) * delta)
     return StepFunction(tuple(xs), tuple(vs))
@@ -215,6 +206,7 @@ def random_step_function(rng, max_pieces: int, levels: int | None = None) -> Ste
     The values are integers 0..levels-1 when ``levels`` is given and uniform
     in [-3, 3] otherwise.
     """
+    import numpy as np
     n = int(rng.integers(2, max_pieces + 1))
     bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
     while np.any(np.diff(bp) < 1e-6):

@@ -26,6 +26,7 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    _mass_below,
     phi_eps,
     rescale,
 )
@@ -142,6 +143,15 @@ class TestThetaBound:
             got = domination_margins(m, grid.tolist())
             assert type(got) is list
             assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_margins_by_bisection_are_bitwise_the_measure(self):
+        # the package's unit atoms below x, counted by bisection, are its mass below x
+        theta = AffineThetaLaw().threshold_measure()
+        for m in range(2, 9):
+            pkg, s = single_package_law(m).threshold_measure(), 2.0 ** (m - 1)
+            grid = bounds._domination_grid(2000)
+            want = [_mass_below(theta, t) - _mass_below(pkg, (s - 1.0) * t) / s for t in grid]
+            assert [x.hex() for x in domination_margins(m, grid)] == [x.hex() for x in want]
 
     def test_single_package_is_packaged(self):
         law = single_package_law(3)
@@ -319,6 +329,13 @@ class TestCounterexample:
         t = np.linspace(0.01, 1.0, 100)
         assert np.all(np.asarray(law(t)) > 0)
         assert np.all(np.asarray(psi_law(2)(t)) == 0)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.5, 1.0])
+    def test_domination_is_read_from_the_measures(self, eps, monkeypatch):
+        assert counterexample_table(eps)["strict_domination_on_unit_interval"] is True
+        # the ramp's density starts at 1, so it is 0 on (0, 1] like psi:2
+        monkeypatch.setattr(bounds, "phi_eps", lambda eps: AffineThetaLaw())
+        assert counterexample_table(eps)["strict_domination_on_unit_interval"] is False
 
     def test_bound_gap_positive(self):
         doc = counterexample_table()

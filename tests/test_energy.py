@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -146,17 +147,19 @@ class TestLambdaStep:
             assert v1 == v2
 
 
+def _snap(t):
+    """The kernel's snap of near-integer jump ratios, so both count the same pairs."""
+    r = round(t)
+    return float(r) if abs(t - r) <= 1e-9 * max(1.0, abs(t)) else t
+
+
 def _lambda_step_double_loop(law, u, delta):
     """One law call per pair of pieces: the oracle for lambda_step."""
-    def snap(t):
-        r = round(t)
-        return float(r) if abs(t - r) <= 1e-9 * max(1.0, abs(t)) else t
-
     bp, vs = u.breakpoints, u.values
     total = 0.0
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            w = float(law(snap(abs(vs[j] - vs[i]) / delta)))
+            w = float(law(_snap(abs(vs[j] - vs[i]) / delta)))
             if w == 0.0:
                 continue
             if j == i + 1:
@@ -177,6 +180,12 @@ def _lattice_staircase(rng, pieces):
 class TestPairKernel:
     LAWS = [ModelLaw(3), PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)),
             PackagedDyadicLaw((1, 1, 1))]
+    # step laws, a density from 1, a zeta law whose densities start at 1/8, and a
+    # density from 0 beside an atom
+    ORACLE_LAWS = {"phi:3": LAWS[0], "pca:[0,0,1,0.5,0.25]": LAWS[1], "psi:3": LAWS[2],
+                   "phi1": ModelLaw(1), "theta": AffineThetaLaw(),
+                   "zeta": DyadicAffineLaw(((-2, 0.25), (0, 0.5), (3, 1.75))),
+                   "phieps": phi_eps(0.01)}
 
     @staticmethod
     def _agree(got, want):
@@ -218,49 +227,83 @@ class TestPairKernel:
         u = StepFunction((0, 1, 2, 3), (0.8, 0.9, 1.1))
         assert lambda_step(ModelLaw(3), u, 0.1).value == 0.0
 
-    # past the adjacent ones, 90, 91 and 92 pieces have 3916, 4005 and 4095 pairs, one
-    # block of 4096; 93 and 94 take two, and 300 pieces about a dozen
-    @pytest.mark.parametrize("pieces", [2, 20, 90, 91, 92, 93, 94, 300])
-    @pytest.mark.filterwarnings("error")
-    def test_blocks_are_bitwise_the_row_loop(self, pieces):
-        rng = np.random.default_rng(pieces)
-        laws = [*self.LAWS, ModelLaw(1), AffineThetaLaw()]
-        infinite = 0
-        trials = 4 if pieces > 100 else 10
-        for trial in range(trials):
-            bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, pieces))])
-            # rises of 0..2 lattice units, scaled up on odd trials so that adjacent
-            # pairs reach the laws' thresholds and the energy is +inf
-            vs = np.cumsum(rng.integers(0, 3, pieces)) * (0.05 if trial % 2 == 0 else 0.5)
-            for law in laws:
-                for delta in (0.2, 0.5, 1.0):
-                    got = energy._pair_energy(bp, vs, law, delta)
-                    assert got.hex() == _pair_energy_rows(bp, vs, law, delta).hex()
-                    infinite += got == math.inf
-        assert 0 < infinite < trials * len(laws) * 3
+    @pytest.mark.parametrize("name", ORACLE_LAWS)
+    def test_matches_mpmath_on_random_steps(self, name):
+        law, finite = self.ORACLE_LAWS[name], 0
+        for u, pair_logs in _oracle_steps():
+            for delta in (0.2, 0.5, 2.0):
+                got = lambda_step(law, u, delta).value
+                want = _mp_step_energy(law, u, delta, pair_logs)
+                if math.isinf(want):
+                    assert got == want
+                else:
+                    assert abs(got - want) <= 1e-14 * want
+                    finite += got > 0
+        # every law but the quadratic head, positive on (0, 1], has positive finite cases
+        assert finite > 0 or name == "phieps"
 
-    def test_hostility_matches_the_row_loop(self):
+    def test_hostility_matches_mpmath(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             u = random_step_function(rng, 20, levels=7)
             k = int(rng.integers(1, 6))
-            want = _pair_energy_rows(u.breakpoints, np.round(u.values), ModelLaw(k), 1.0)
-            assert hostility(1.0, u, k).value.hex() == want.hex()
+            want = 0.5 * _mp_step_energy(ModelLaw(k), u, 1.0, _mp_pair_logs(u.breakpoints))
+            got = hostility(0.5, u, k).value
+            assert got == want if math.isinf(want) else abs(got - want) <= 1e-14 * want
 
 
-def _pair_energy_rows(breakpoints, values, law, delta):
-    """One row of piece pairs per numpy pass: the reference for the blocked kernel."""
-    bp = np.asarray(breakpoints, dtype=float)
-    vs = np.asarray(values, dtype=float)
-    total = 0.0
-    for i in range(len(vs) - 1):
-        w = law(energy._snap_to_integer(np.abs(vs[i + 1:] - vs[i]) / delta))
-        if w[0] > 0:
-            return math.inf
-        near, far = bp[i + 2:-1], bp[i + 3:]
-        ratio = ((near - bp[i]) * (far - bp[i + 1])) / ((near - bp[i + 1]) * (far - bp[i]))
-        total += float(np.sum(w[1:] * np.log(ratio)))
-    return 2.0 * delta * total
+def _mp_pair_logs(bp):
+    """The 40-digit pair integrals T(i, j), i + 1 < j, of the pieces of breakpoints bp."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(b) for b in bp]
+        return {(i, j): mpmath.log((x[j] - x[i]) * (x[j + 1] - x[i + 1])
+                                   / ((x[j] - x[i + 1]) * (x[j + 1] - x[i])))
+                for i in range(len(x) - 1) for j in range(i + 2, len(x) - 1)}
+
+
+def _mp_step_energy(law, u, delta, pair_logs):
+    """The step energy in 40-digit arithmetic, one pair at a time: the law's measure
+    below each pair's snapped ratio, times 2 delta T(i, j); +inf when an adjacent pair
+    has positive weight."""
+    atoms, densities = law.threshold_measure()
+
+    def weight(t):
+        parts = [mpmath.mpf(w) for s, w in atoms if s < t]
+        for s0, s1, c, p in densities:
+            if min(t, s1) > s0:
+                q = mpmath.mpf(p) + 1
+                parts.append(c * (mpmath.mpf(min(t, s1)) ** q - mpmath.mpf(s0) ** q) / q)
+        return mpmath.fsum(parts)
+
+    vs, total = u.values, []
+    with mpmath.workdps(40):
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                w = weight(_snap(abs(vs[j] - vs[i]) / delta))
+                if w and j == i + 1:
+                    return math.inf
+                if w:
+                    total.append(w * pair_logs[i, j])
+        return 2 * mpmath.mpf(delta) * mpmath.fsum(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_steps():
+    """(u, its pair integrals) for random step functions of 2..24 pieces from 0, of
+    lengths in [0.05, 1]: monotone, lattice walks on 1/20 and uniform values, in turn."""
+    rng, steps = np.random.default_rng(31), []
+    for trial in range(36):
+        n = int(rng.integers(2, 25))
+        bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+        if trial % 3 == 0:
+            vs = np.cumsum(rng.uniform(0.0, 0.3, n))
+        elif trial % 3 == 1:
+            vs = 0.05 * np.cumsum(rng.integers(-4, 5, n))
+        else:
+            vs = rng.uniform(0.0, 2.0, n)
+        u = StepFunction(tuple(bp), tuple(vs))
+        steps.append((u, _mp_pair_logs(u.breakpoints)))
+    return steps
 
 
 def _lambda_strip_loop(law, u, delta):
