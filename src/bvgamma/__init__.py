@@ -16,7 +16,7 @@ _EXPORTS = {
     "stepfn": ("StepFunction", "gaps", "oscillation", "rearrange", "segment",
                "staircase_from_gaps", "total_variation", "truncate"),
     "energy": ("EnergyResult", "geometric_constant", "hostility", "lambda_quad",
-               "lambda_step", "lambda_strip"),
+               "lambda_step"),
     "minprob": ("MinProblem", "MinResult", "in_domain", "log_cost", "minimize", "power_cost",
                 "telescopic_margin", "window_sums"),
     "bounds": ("BoundReport", "counterexample_table", "gamma_liminf_factor",

@@ -18,6 +18,7 @@ from .laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
     PackagedDyadicLaw,
+    _gauss_legendre,
     _mass_below,
     phi_eps,
 )
@@ -233,35 +234,6 @@ def theta_bound() -> BoundReport:
         k_lower=1.0,
         chain=chain,
     )
-
-
-def _gauss_legendre(q: int) -> tuple:
-    """Nodes, ascending, and weights of the q-point Gauss-Legendre rule on [-1, 1].
-
-    Each root of P_q is polished by Newton's method from sin(pi (q - 2i - 1) / (2q + 1)),
-    that is cos(pi (i + 3/4) / (q + 1/2)) but exactly 0 at the middle root of an odd
-    q, with P_q and P_q' from the three-term recurrence; the rule is symmetric.
-    """
-    def legendre(x):
-        p0, p1 = 1.0, x
-        for k in range(2, q + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, q * (p0 - x * p1) / (1.0 - x * x)
-
-    nodes, weights = [0.0] * q, [0.0] * q
-    for i in range((q + 1) // 2):
-        x, dx = math.sin(math.pi * (q - 2 * i - 1) / (2 * q + 1)), 1.0
-        while abs(dx) > 1e-15:
-            p, dp = legendre(x)
-            dx = p / dp
-            x -= dx
-        dp = legendre(x)[1]
-        nodes[i], nodes[-1 - i] = -x, x
-        weights[i] = weights[-1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
-    # the rule integrates 1 exactly; rescaling to that keeps the weights' rounding
-    # errors from adding up
-    total = math.fsum(weights)
-    return nodes, [w * (2.0 / total) for w in weights]
 
 
 def zeta_bound(law: DyadicAffineLaw) -> BoundReport:

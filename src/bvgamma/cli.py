@@ -80,9 +80,10 @@ def delta_sweep(text: str) -> list:
     a, b = deltas
     if a == b:
         return [a]
-    import numpy as np
+    # numpy.geomspace's points: equal steps between the exponents, endpoints kept exact
     steps = max(1, round(2 * abs(math.log10(a / b))))
-    return [float(x) for x in np.geomspace(a, b, steps + 1)]
+    lo, step = math.log10(a), (math.log10(b) - math.log10(a)) / steps
+    return [a, *(10.0 ** (lo + i * step) for i in range(1, steps)), b]
 
 
 # ---------------------------------------------------------------------------

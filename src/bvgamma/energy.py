@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw, _mass_below
+from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw, _gauss_legendre, _mass_below
 
 if TYPE_CHECKING:
     from .stepfn import StepFunction
@@ -22,7 +22,6 @@ __all__ = [
     "EnergyResult",
     "hostility",
     "lambda_step",
-    "lambda_strip",
     "lambda_quad",
     "geometric_constant",
     "suite_rearrange",
@@ -114,27 +113,6 @@ def lambda_step(law: InteractionLaw, u: StepFunction, delta: float) -> EnergyRes
     if not delta > 0:
         raise ValueError("delta must be positive")
     return EnergyResult(_step_energy(u.breakpoints, u.values, law, delta), "exact")
-
-
-def lambda_strip(law, u: StepFunction, delta: float) -> EnergyResult:
-    """Strip energy of a monotone lattice staircase, as an exact log sum.
-
-    The staircase is imagined extended to the whole line with constant tails;
-    the inner integral runs over the full line while the outer runs between
-    the covered transitions.  The energy is delta times the weighted log costs
-    of the gaps between transitions, over the steps k with at least k + 1
-    gaps; it is +inf when k consecutive gaps vanish for the smallest such k.
-    """
-    from .minprob import in_domain, log_cost
-    from .stepfn import gaps
-    steps = getattr(law, "steps", None)
-    if steps is None:
-        raise TypeError("expected a piecewise-constant interaction law")
-    lengths = gaps(u, delta)
-    active = [(k, w) for k, w in steps if k + 1 <= len(lengths)]
-    if active and not in_domain(lengths, active[0][0]):
-        return EnergyResult(math.inf, "exact")
-    return EnergyResult(delta * math.fsum(w * log_cost(lengths, k) for k, w in active), "exact")
 
 
 def _chain_margin(bigger: float, smaller: float) -> float:
@@ -305,7 +283,7 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     atoms, densities = law.threshold_measure()
-    rules = [np.polynomial.legendre.leggauss(q) for q in (8, 16)]
+    rules = [_gauss_legendre(q) for q in (8, 16)]
     n, prev = 256, None
     while True:
         x = np.linspace(a, b, n + 1)
@@ -327,10 +305,11 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
                     # s^p times the crossing measure, about s^(p-1) near 0, is flat in
                     # v = (s / s1)^p, so a density from 0 with p < 1 takes its nodes in v
                     m = 1.0 / p if s0 == 0 and 0 < p < 1 else 1.0
-                    v = 0.5 * (nodes + 1.0)
-                    s = s0 + (s1 - s0) * v ** m
-                    parts.extend(0.5 * (s1 - s0) * m * vk ** (m - 1) * wk * c * sk ** p
-                                 * crossing(sk) for sk, vk, wk in zip(s, v, weights))
+                    for node, wk in zip(nodes, weights):
+                        vk = 0.5 * (node + 1.0)
+                        sk = s0 + (s1 - s0) * vk ** m
+                        parts.append(0.5 * (s1 - s0) * m * vk ** (m - 1) * wk * c * sk ** p
+                                     * crossing(sk))
             sums.append(2.0 * delta * math.fsum(parts))
         coarse, val = sums
         if prev is not None:

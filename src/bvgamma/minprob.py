@@ -72,7 +72,12 @@ def _log_terms(s_k, s_k1) -> np.ndarray:
 
 
 def log_cost(lengths, k: int) -> float:
-    """Sum of log(S_{i,k+1}^2 / (S_{i,k} S_{i+1,k})) over the n-k windows."""
+    """Sum of log(S_{i,k+1}^2 / (S_{i,k} S_{i+1,k})) over the n-k windows.
+
+    For u = staircase_from_gaps(lengths, delta, tail=T) of length L, delta times it is
+    lambda_step(ModelLaw(k), u, delta) - delta log(S_{0,k} / S_{n-k,k})
+    - 2 delta log((S_{n-k,k} + T) / L) (acceptance criterion 6 derives it).
+    """
     if len(lengths) < k + 1:
         raise ValueError(f"need at least {k + 1} entries")
     if not in_domain(lengths, k):

@@ -26,6 +26,7 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    _gauss_legendre,
     _mass_below,
     phi_eps,
     rescale,
@@ -175,7 +176,7 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("q", range(1, 25))
     def test_matches_leggauss(self, q):
-        nodes, weights = bounds._gauss_legendre(q)
+        nodes, weights = _gauss_legendre(q)
         want_nodes, want_weights = np.polynomial.legendre.leggauss(q)
         assert np.max(np.abs(np.array(nodes) - want_nodes)) <= 1e-15
         assert nodes == sorted(nodes) and nodes == [-x for x in reversed(nodes)]

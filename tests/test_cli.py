@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import bvgamma
 from bvgamma import bounds, energy, minprob
-from bvgamma.cli import _emit_rows, main, parse_law_spec
+from bvgamma.cli import _emit_rows, delta_sweep, main, parse_law_spec
 from bvgamma.laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
@@ -119,6 +119,13 @@ class TestLazyLoading:
                               "--deltas", "0.5,0.25"]) == {
             "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
 
+    def test_step_energy_on_the_default_delta_range_loads_no_numpy(self, tmp_path):
+        # the range 1e-1..1e-3 is spaced in Python
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3, 4], "values": [0, 0.25, 0.5, 0.75]}))
+        assert _loaded_after(["energy", "step", "--law", "psi:3", "--u", str(u)]) == {
+            "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
+
     # a single step law's minimum is certified in closed form, so no array is built
     @pytest.mark.parametrize("args", [
         ["minprob", "--law", "phi:3", "--n", "8..16", "--dump-minimizer"],
@@ -144,7 +151,7 @@ class TestLazyLoading:
         assert not loaded & {"bvgamma.energy", "bvgamma.stepfn"}
 
     def test_exports_are_their_defining_modules_objects(self):
-        assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 43
+        assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 42
         for name in bvgamma.__all__:
             obj = getattr(bvgamma, name)
             assert obj.__module__.startswith("bvgamma.")
@@ -619,6 +626,12 @@ class TestEnergyCommand:
         assert [r.exit_code for r in outputs] == [0, 0]
         assert outputs[0].output == outputs[1].output
         assert len(outputs[0].output.splitlines()) == 3
+
+    @pytest.mark.parametrize("text, count", [("1e-1..1e-3", 5), ("1e-1..1e-2", 3)])
+    def test_delta_range_is_bitwise_geomspace(self, text, count):
+        a, b = (float(x) for x in text.split(".."))
+        want = [float(x).hex() for x in np.geomspace(a, b, count)]
+        assert [x.hex() for x in delta_sweep(text)] == want
 
     def test_step_non_json_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "u.json"

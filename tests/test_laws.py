@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from bvgamma.energy import lambda_strip
 from bvgamma.laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
@@ -22,7 +21,6 @@ from bvgamma.laws import (
     rescale,
 )
 from bvgamma.minprob import MinProblem
-from bvgamma.stepfn import StepFunction
 
 
 def quad_scale_factor(law, nodes=()):
@@ -391,11 +389,8 @@ class TestStructure:
         assert law.scale_factor_exact() == Fraction(1, 3) + Fraction(2, 21)
 
     def test_non_step_law_has_no_steps(self):
-        u = StepFunction((0.0, 1.0, 2.0), (0.0, 1.0))
         with pytest.raises(TypeError):
             MinProblem(n=4, law=AffineThetaLaw())
-        with pytest.raises(TypeError):
-            lambda_strip(AffineThetaLaw(), u, 1.0)
 
     def test_packaged_evaluates_like_expansion(self):
         law = PackagedDyadicLaw((2, 0, 1))
