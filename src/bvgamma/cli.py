@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+
+# before numpy loads (no bvgamma import loads it): by default its OpenBLAS starts a
+# worker per extra core, which only spins in these commands; a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

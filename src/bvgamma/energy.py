@@ -173,7 +173,7 @@ def _runs(x: np.ndarray, samples: np.ndarray) -> list:
 
     A run is (its nodes, its samples, its direction d, and its two views): the
     nondecreasing v = d * samples on its nodes, then -v on the nodes in reverse, each
-    as a ``_cut`` triple (v, nodes, slope).
+    as (v, nodes, slope), with dy/dv on each segment of v, 0 on a flat one, and a final 0.
     """
     import numpy as np
     s = np.sign(np.diff(samples))
@@ -195,25 +195,6 @@ def _runs(x: np.ndarray, samples: np.ndarray) -> list:
     return runs
 
 
-def _cut(v: np.ndarray, y: np.ndarray, slope: np.ndarray, level: np.ndarray) -> tuple:
-    """sup{y : v(y) <= l} at both ends of each piece on which l runs linearly between
-    consecutive entries of ``level``, for v nondecreasing on the nodes y.
-
-    ``slope`` holds dy/dv on each segment of v, 0 on a flat one, and a final 0.  Every
-    node value of v is a piece end, so within a piece the cut moves linearly on one
-    segment of v.  That segment is chosen at the piece's middle level, so a plateau of v
-    at a piece's end level is not crossed inside the piece, and levels past the end of v
-    cut at the last node.
-    """
-    import numpy as np
-    mid = 0.5 * (level[:-1] + level[1:])
-    # the last node at or below mid (np.interp finds it faster than np.searchsorted)
-    j = np.interp(mid, v, np.arange(len(v), dtype=float)).astype(int)
-    lev = np.maximum(level, v[0])
-    yj, vj, sj = y[j], v[j], slope[j]
-    return yj + (lev[:-1] - vj) * sj, yj + (lev[1:] - vj) * sj
-
-
 def _inverse_integral(h: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Integral of 1/d over pieces of length h on which d > 0 runs linearly from d1 to d2:
     h over the logarithmic mean of d1 and d2."""
@@ -222,34 +203,48 @@ def _inverse_integral(h: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarr
     return h / d1 * np.divide(np.log1p(r), r, out=np.ones_like(r), where=r != 0)
 
 
-def _crossing_measure(runs: list, tau: float) -> float:
-    """Integral over x < y of 1[|U(y) - U(x)| > tau] / (y - x)^2, exact for the
-    piecewise-linear interpolant U of samples split into ``runs`` (``_runs``).
+def _crossing_measure(runs: list, tau: np.ndarray) -> np.ndarray:
+    """Integral over x < y of 1[|U(y) - U(x)| > t] / (y - x)^2 at each threshold t of
+    ``tau``, exact for the piecewise-linear interpolant U of samples split into ``runs``
+    (``_runs``).
 
     For x in a monotone run A and y in a run B at or after A, the y with
-    |U(y) - U(x)| > tau form an interval at each end of B: in a view v = +-U of B,
-    the y with v(y) > v(x) + tau, from the cut c to the view's last node e.  Within A
-    only the rising view counts, since the other interval lies before x.  The
-    y-integral is 1/(c - x) - 1/(e - x), negated for the view whose nodes run
-    backwards.  A is cut at its nodes and where v(x) + tau meets a node value of v;
-    on each piece U(x) and c are linear in x, so both terms integrate in closed form
-    (``_inverse_integral``).
+    |U(y) - U(x)| > t form an interval at each end of B: in a view v = +-U of B,
+    the y with v(y) > v(x) + t, from the cut c = sup{y : v(y) <= v(x) + t} to the
+    view's last node e.  Within A only the rising view counts, since the other interval
+    lies before x.  The y-integral is 1/(c - x) - 1/(e - x), negated for the view whose
+    nodes run backwards.  A is cut at its nodes and where v(x) + t meets a node value
+    of v; on each piece U(x) and c are linear in x, so both terms integrate in closed
+    form (``_inverse_integral``).  Within a piece, c moves on the segment of v chosen
+    at the piece's middle level, so a plateau of v at a piece's end level is not
+    crossed inside the piece, and levels past the end of v cut at its last node.
+    Each threshold is a row of every array, and its terms are summed alone, so each
+    entry is bitwise what the threshold alone gives.
     """
     import numpy as np
-    total = 0.0
+    t = np.asarray(tau, dtype=float)[:, None]
+    total = np.zeros(len(t))
     for i, (xa, ua, sa, _) in enumerate(runs):
         for j, (_, _, sb, views) in enumerate(runs[i:]):
             for sign, (v, y, slope) in zip((1.0, -1.0), views[:1] if j == 0 else views):
                 d = sign * sb  # the view is v = d * U on B
-                pts = np.sort(np.concatenate([xa, np.interp(sa * d * (v - tau), sa * ua, xa)]))
-                c1, c2 = _cut(v, y, slope, d * np.interp(pts, xa, ua) + tau)
-                x1, x2, e = pts[:-1], pts[1:], y[-1]
+                q = np.interp(sa * d * (v - t), sa * ua, xa)
+                pts = np.sort(np.hstack([np.broadcast_to(xa, (len(t), len(xa))), q]), axis=1)
+                level = d * np.interp(pts, xa, ua) + t
+                # the last node at or below each piece's middle level (np.interp, not searchsorted)
+                k = np.interp(0.5 * (level[:, :-1] + level[:, 1:]), v,
+                              np.arange(len(v), dtype=float)).astype(int)
+                np.maximum(level, v[0], out=level)
+                yk, vk, sk = y[k], v[k], slope[k]
+                c1, c2 = yk + (level[:, :-1] - vk) * sk, yk + (level[:, 1:] - vk) * sk
+                x1, x2, e = pts[:, :-1], pts[:, 1:], y[-1]
                 # an interval touching x is empty, and has no integral
                 live = (np.minimum(c1, e) > x1) & (np.minimum(c2, e) > x2)
                 h, x1, x2 = (x2 - x1)[live], x1[live], x2[live]
-                total += sign * float(np.sum(
-                    _inverse_integral(h, c1[live] - x1, c2[live] - x2)
-                    - _inverse_integral(h, e - x1, e - x2)))
+                terms = (_inverse_integral(h, c1[live] - x1, c2[live] - x2)
+                         - _inverse_integral(h, e - x1, e - x2))
+                ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+                total += [sign * np.sum(terms[a:b]) for a, b in zip([0, *ends], ends)]
     return total
 
 
@@ -289,16 +284,11 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
         x = np.linspace(a, b, n + 1)
         samples = np.asarray(u(x), dtype=float)
         runs = _runs(x, samples)
-        # every crossing measure vanishes from the oscillation of U on
-        top = (samples.max() - samples.min()) / delta
-
-        def crossing(s):
-            return _crossing_measure(runs, delta * s) if s < top else 0.0
-
-        atom_sum = math.fsum(w * crossing(s) for s, w in atoms)
-        sums = []
+        top = (samples.max() - samples.min()) / delta  # the oscillation of U over delta
+        # (threshold, weight) of each atom, then of each rule's nodes on each density piece
+        terms = [list(atoms)]
         for nodes, weights in rules:
-            parts = [atom_sum]
+            terms.append([])
             for s0, s1, c, p in densities:
                 s1 = min(s1, top)
                 if s0 < s1:
@@ -308,10 +298,20 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
                     for node, wk in zip(nodes, weights):
                         vk = 0.5 * (node + 1.0)
                         sk = s0 + (s1 - s0) * vk ** m
-                        parts.append(0.5 * (s1 - s0) * m * vk ** (m - 1) * wk * c * sk ** p
-                                     * crossing(sk))
-            sums.append(2.0 * delta * math.fsum(parts))
-        coarse, val = sums
+                        terms[-1].append((sk, 0.5 * (s1 - s0) * m * vk ** (m - 1) * wk * c
+                                          * sk ** p))
+        # the crossing measures vanish from the oscillation on; below it, the kernel takes
+        # blocks of at most 2048 thresholds times nodes: its twenty or so temporaries then
+        # add about 0.5 MB of peak memory (3.6 MB in one block of theta's 24 at n = 512)
+        s = [sk for group in terms for sk, _ in group]
+        t = delta * np.array([sk for sk in s if sk < top], dtype=float)
+        rows = max(1, 2048 // len(x))
+        below = iter([m for lo in range(0, len(t), rows)
+                      for m in _crossing_measure(runs, t[lo:lo + rows]).tolist()])
+        crossing = iter([next(below) if sk < top else 0.0 for sk in s])
+        atom_parts, *rule_parts = ([w * next(crossing) for _, w in group] for group in terms)
+        coarse, val = (2.0 * delta * math.fsum([math.fsum(atom_parts), *parts])
+                       for parts in rule_parts)
         if prev is not None:
             err = abs(val - prev) + abs(val - coarse) + n * 2.0 ** -52 * abs(val)
             if err <= tol * max(1.0, abs(val)):

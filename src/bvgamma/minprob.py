@@ -276,16 +276,17 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
     s = y = 0 and rho = 0, a no-op); a backtracking Armijo search, which
     re-evaluates only the rows that reject their step, tries first a step that
     moves no coordinate by more than 50.  A row stops at max|gradient| <= 1e-13,
-    at a relative decrease <= 1e-16 (the ``ftol`` test of L-BFGS-B), or after
-    1000 iterations.  Returns each row's value and unit-sum minimizer, and its
-    trace: the start's value, then the value after each iteration.
+    at a relative decrease <= 1e-16 (the ``ftol`` test of L-BFGS-B), once a log
+    coordinate reaches +-300 (its entries then span less than e^700, so none on its
+    support underflows to 0 in the unit-sum minimizer), or after 1000 iterations.
+    Returns each row's value and unit-sum minimizer, and its trace: the start's
+    value, then the value after each iteration.
     """
     import numpy as np
     support = np.asarray(starts) > 0
 
     def fun(x, on):
-        # clamp so supported entries never underflow to exact zero
-        full = np.where(on, np.exp(np.clip(x, -600.0, 600.0)), 0.0)
+        full = np.where(on, np.exp(x), 0.0)
         values, grads = problem._rows(full)
         return values, np.where(on, grads * full, 0.0)
 
@@ -299,7 +300,7 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
     S, Y = np.zeros((2, len(on), 10, problem.n))  # pair slots, oldest first
     R = np.zeros((len(on), 10))                    # 1 / s.y, 0 in an empty slot
     for _ in range(1000):
-        keep = live & ~(np.max(np.abs(g), axis=1) <= 1e-13)
+        keep = live & ~(np.max(np.abs(g), axis=1) <= 1e-13) & (np.max(np.abs(x), axis=1) < 300)
         rows, x, f, g, on, S, Y, R = (a[keep] for a in (rows, x, f, g, on, S, Y, R))
         if not len(rows):
             break
@@ -329,7 +330,7 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
         out[rows] = x
         for r, v in zip(rows.tolist(), f.tolist()):
             traces[r].append(v)
-    best = np.where(support, np.exp(np.clip(out, -600.0, 600.0)), 0.0)
+    best = np.where(support, np.exp(out), 0.0)
     best /= best.sum(axis=1, keepdims=True)
     return problem._rows(best)[0].tolist(), best, traces
 

@@ -163,6 +163,29 @@ class TestLazyLoading:
             bvgamma.no_such_name
 
 
+def _blas_state_after(command, **env):
+    """(numpy loaded, thread count, OPENBLAS_NUM_THREADS) of a fresh interpreter that
+    runs one command, with OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
+    src = str(Path(bvgamma.__file__).resolve().parents[1])
+    code = ("import os, sys; from bvgamma.cli import main\n"
+            f"main({command!r}, standalone_mode=False)\n"
+            "print(['numpy' in sys.modules, len(os.listdir('/proc/self/task')),"
+            " os.environ.get('OPENBLAS_NUM_THREADS')], file=sys.stderr)")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**base, **env, "PYTHONPATH": src}, timeout=120)
+    return ast.literal_eval(out.stderr.splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_pins_openblas_to_one_thread_unless_set():
+    # by default numpy's OpenBLAS starts a worker per extra core that only spins; the
+    # CLI pins it before numpy loads, and a value the caller set wins
+    command = ["energy", "pointwise", "--law", "phi1", "--u", "linear", "--deltas", "1e-1"]
+    assert _blas_state_after(command) == [True, 1, "1"]
+    assert _blas_state_after(command, OPENBLAS_NUM_THREADS="2")[::2] == [True, "2"]
+
+
 _SWEEP = ("--starts", "16", "--seed", "0", "--dump-minimizer")
 
 
@@ -678,6 +701,37 @@ class TestEnergyCommand:
                                   (0.0, 1.0), 0.1)
         assert row["value"] == want.value and row["error_estimate"] == want.error_estimate
         assert row["ratio"] == want.value / (2.0 * math.log(2) * 2.0)
+
+    # the benchmark's pointwise rows as the one-threshold crossing kernel printed them:
+    # (law, profile, --deltas, [(delta, value, error_estimate)])
+    POINTWISE_ROWS = [
+        ("phi1", "bump", "1e-1..1e-2", [
+            (0.1, 3.41880328327493, 0.00014320628710305422),
+            (0.03162277660168379, 3.783808012830574, 0.00014629953794938137),
+            (0.01, 3.920646474165244, 0.00014361571693552366)]),
+        ("theta", "bump", "1e-1..1e-3", [
+            (0.1, 2.222990472566682, 0.0001037313162317968),
+            (0.03162277660168379, 2.567566061696468, 0.00010325033078930486),
+            (0.01, 2.696969313092397, 0.00010286576501991013),
+            (0.0031622776601683794, 2.7451101572288334, 8.656398806106056e-05),
+            (0.001, 2.762744283470127, 6.62481711458718e-05)]),
+        ("theta", "linear", "1e-1..1e-3", [
+            (0.1, 0.8030362147450595, 1.2591382474335046e-12),
+            (0.03162277660168379, 1.1290378064785376, 1.3029726979401104e-12),
+            (0.01, 1.281916844622526, 1.322129389180023e-12),
+            (0.0031622776601683794, 1.3460058788553315, 1.3298595580244332e-12),
+            (0.001, 1.3712514392841653, 1.3327296459560973e-12)]),
+        ("phi1", "linear", "1e-1", [(0.1, 1.3394829814011915, 1.5272567354727374e-13)]),
+    ]
+
+    @pytest.mark.parametrize("spec, profile, deltas, rows", POINTWISE_ROWS,
+                             ids=[" ".join(r[:2]) for r in POINTWISE_ROWS])
+    def test_pointwise_benchmark_rows_are_pinned(self, runner, spec, profile, deltas, rows):
+        result = runner.invoke(main, ["--json", "energy", "pointwise", "--law", spec,
+                                      "--u", profile, "--deltas", deltas, "--tol", "0.001"])
+        assert result.exit_code == 0
+        got = [(r["delta"], r["value"], r["error_estimate"]) for r in json.loads(result.output)]
+        assert got == [pytest.approx(row, rel=1e-9, abs=0) for row in rows]
 
     def test_pointwise_ratio_column(self, runner):
         result = runner.invoke(main, ["energy", "pointwise", "--law", "phi1",

@@ -622,15 +622,90 @@ class TestCrossingMeasure:
         n = int(rng.integers(4, 9))
         xs = np.sort(rng.uniform(0.0, 3.0, n))
         us = rng.integers(0, 4, n).astype(float)
-        runs = energy._runs(xs, us)
-        for tau in (0.5, 1.0, 1.7, 2.0):
+        taus = (0.5, 1.0, 1.7, 2.0)
+        got = energy._crossing_measure(energy._runs(xs, us), np.array(taus))
+        assert got.shape == (4,)
+        for tau, measure in zip(taus, got.tolist()):
             want = _crossing_oracle(xs, us, tau)
-            got = energy._crossing_measure(runs, tau)
-            assert abs(got - want) <= 1e-9 * max(1.0, want)
+            assert abs(measure - want) <= 1e-9 * max(1.0, want)
 
     def test_constant_has_no_runs(self):
         xs = np.linspace(0.0, 1.0, 9)
         assert energy._runs(xs, np.full(9, 0.5)) == []
+        assert energy._crossing_measure([], np.array([0.5, 1.0])).tolist() == [0.0, 0.0]
+
+
+def _cut_one(v, y, slope, level):
+    """The cut of the one-threshold kernel that the batched one replaced."""
+    mid = 0.5 * (level[:-1] + level[1:])
+    j = np.interp(mid, v, np.arange(len(v), dtype=float)).astype(int)
+    lev = np.maximum(level, v[0])
+    yj, vj, sj = y[j], v[j], slope[j]
+    return yj + (lev[:-1] - vj) * sj, yj + (lev[1:] - vj) * sj
+
+
+def _crossing_measure_one(runs, tau):
+    """The crossing measure at one threshold, as the kernel computed it before it took
+    all thresholds of a grid level at once."""
+    total = 0.0
+    for i, (xa, ua, sa, _) in enumerate(runs):
+        for j, (_, _, sb, views) in enumerate(runs[i:]):
+            for sign, (v, y, slope) in zip((1.0, -1.0), views[:1] if j == 0 else views):
+                d = sign * sb
+                pts = np.sort(np.concatenate([xa, np.interp(sa * d * (v - tau), sa * ua, xa)]))
+                c1, c2 = _cut_one(v, y, slope, d * np.interp(pts, xa, ua) + tau)
+                x1, x2, e = pts[:-1], pts[1:], y[-1]
+                live = (np.minimum(c1, e) > x1) & (np.minimum(c2, e) > x2)
+                h, x1, x2 = (x2 - x1)[live], x1[live], x2[live]
+                total += sign * float(np.sum(
+                    energy._inverse_integral(h, c1[live] - x1, c2[live] - x2)
+                    - energy._inverse_integral(h, e - x1, e - x2)))
+    return total
+
+
+def _random_samples(rng, n):
+    return np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(0.0, 1.0, n)
+
+
+def _plateau_samples(rng, n):
+    # integer levels, so neighbours tie and thresholds 1, 2 meet plateaus exactly
+    return np.linspace(0.0, 1.0, n), rng.integers(0, 4, n).astype(float)
+
+
+def _constant_run_samples(rng, n):
+    # a rise, a constant stretch of a third of the nodes, then a fall
+    us = np.concatenate([np.linspace(0.0, 1.5, n // 3), np.full(n // 3, 1.5),
+                         np.linspace(1.5, -0.5, n - 2 * (n // 3))])
+    return np.linspace(0.0, 2.0, n), us + rng.normal(0.0, 1e-3, n) * (us != 1.5)
+
+
+class TestBatchedCrossingMeasure:
+    """The kernel on a vector of thresholds against the one-threshold kernel it replaced,
+    threshold by threshold, on thresholds below, at and above the oscillation."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("samples", [_random_samples, _plateau_samples,
+                                         _constant_run_samples])
+    def test_matches_one_threshold_kernel(self, samples, seed):
+        rng = np.random.default_rng(seed)
+        xs, us = samples(rng, int(rng.integers(5, 25)))
+        runs = energy._runs(xs, us)
+        top = float(us.max() - us.min())
+        taus = np.concatenate([rng.uniform(0.0, top, 20), [0.5, 1.0, 2.0],
+                               top * np.array([0.999, 1.0, 1.5])])
+        got = energy._crossing_measure(runs, taus)
+        want = np.array([_crossing_measure_one(runs, tau) for tau in taus])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert got[-2:].tolist() == [0.0, 0.0]
+
+    def test_matches_on_a_level_of_theta_on_the_bump(self):
+        # one grid level as lambda_quad evaluates it: 24 thresholds on 513 nodes
+        xs = np.linspace(0.0, 1.0, 513)
+        runs = energy._runs(xs, np.sin(np.pi * xs) ** 2)
+        taus = 0.01 * (1.0 + np.random.default_rng(5).uniform(0.0, 1.0, 24))
+        want = [_crossing_measure_one(runs, tau) for tau in taus]
+        np.testing.assert_allclose(energy._crossing_measure(runs, taus), want,
+                                   rtol=1e-13, atol=0)
 
 
 # The shift-grid quadrature that lambda_quad used before the crossing kernel, kept

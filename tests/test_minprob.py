@@ -471,6 +471,18 @@ class TestMinimize:
             assert value == pytest.approx(7 * math.log(4.0), rel=1e-10)
             assert np.max(np.abs(arg - 1.0 / 8)) < 1e-6
 
+    @pytest.mark.parametrize("n", range(6, 20))
+    def test_polished_entries_stay_positive(self, n):
+        # from all ones, half the log coordinates of this law run off together; the row
+        # stops once one reaches 300, so no entry underflows to 0 when normalized (a
+        # ±600 clamp left 6 zeros at n = 12), and the final evaluation meets no zero run
+        pb = MinProblem(n=n, law=PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)))
+        (value,), (arg,), (trace,) = minprob._polish(pb, np.ones((1, n)))
+        assert np.all(arg > 0) and math.fsum(arg) == pytest.approx(1.0, rel=1e-15)
+        assert math.log(arg.max() / arg.min()) < 700
+        assert value == pytest.approx(trace[-1], rel=1e-12)
+        assert value == pytest.approx(pb.objective(arg), rel=1e-12)
+
     @pytest.mark.parametrize("law,n", [(PackagedDyadicLaw((1, 1)), 12), (ModelLaw(3), 10),
                                        (PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)), 12)],
                              ids=repr)
@@ -529,12 +541,12 @@ class TestMinimize:
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_tie_goes_to_the_sparser_start(self, monkeypatch, order):
-        # polishing the all-ones start drives 6 of its 12 log coordinates to the
-        # clamp, where they underflow to 0; those zeros earn nothing in a tie
+        # a polished point with zeros on its start's support, as a ±600 clamp on the
+        # log coordinates once gave the all-ones start: those zeros earn nothing in a tie
         pb = MinProblem(n=12, law=PiecewiseConstantLaw((0, 0, 1, 0.5, 0.25)))
         ones = np.ones(12)
-        (value,), (dense,), (trace,) = minprob._polish(pb, ones[None])
-        assert np.count_nonzero(dense) == 6
+        value, trace = 6.27, [6.27]
+        dense = np.where(np.arange(12) % 2 == 0, 0.0, ones) / 6
         one_zero = np.where(np.arange(12) == 0, 0.0, ones)
         rows = [("one-zero", one_zero, one_zero / 11), ("ones", ones, dense)]
         rows = [rows[i] for i in order]
