@@ -109,33 +109,17 @@ def _emit_rows(header, rows, as_json):
             click.echo(",".join(_fmt(x) for x in row))
 
 
-def _cfg(ctx, key, value, default=None):
-    if value is not None:
-        return value
-    return ctx.obj["config"].get(key, default)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              help="JSON config file; flags override its values.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of CSV.")
 @click.pass_context
-def main(ctx, config_path, as_json):
+def main(ctx, as_json):
     """Numerical experiments on non-local total-variation energies."""
     ctx.ensure_object(dict)
-    cfg = {}
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config: {exc}")
-    ctx.obj["config"] = cfg
-    ctx.obj["json"] = as_json or bool(cfg.get("json", False))
+    ctx.obj["json"] = as_json
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +127,7 @@ def main(ctx, config_path, as_json):
 # ---------------------------------------------------------------------------
 
 @main.command("law")
-@click.option("--spec", "spec_text", help="Law spec (mini-language).")
+@click.option("--spec", "spec_text", required=True, help="Law spec (mini-language).")
 @click.option("--report", type=click.Choice(["N", "admissible", "all"]),
               default="all", show_default=True)
 @click.option("--probe", type=float, multiple=True,
@@ -152,9 +136,6 @@ def main(ctx, config_path, as_json):
 def cmd_law(ctx, spec_text, report, probe):
     """Evaluate a law, its scale factor and its admissibility report."""
     from .laws import check_admissible
-    spec_text = _cfg(ctx, "spec", spec_text)
-    if not spec_text:
-        raise click.UsageError("missing --spec")
     law = parse_law_spec(spec_text)
     as_json = ctx.obj["json"]
 
@@ -206,18 +187,16 @@ def _min_problems(law, ns, n_hint):
 @main.command("minprob")
 @click.option("--law", "spec_text", required=True)
 @click.option("--n", "ns", required=True, type=int_range, help="Single n, comma list, or a..b.")
-@click.option("--starts", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--starts", type=int, default=64, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dump-minimizer", is_flag=True)
 @click.pass_context
 def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     """Minimize the weighted log-cost objective over length tuples."""
     from .minprob import minimize
     law = parse_law_spec(spec_text)
-    starts = int(_cfg(ctx, "starts", starts, 64))
     if starts < 0:
         raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
-    seed = int(_cfg(ctx, "seed", seed, 0))
     problems = _min_problems(law, ns, "--n")
 
     results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
@@ -244,17 +223,14 @@ _SUITES = {"telescope": "minprob", "rearrange": "energy", "domination": "bounds"
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(_SUITES)))
-@click.option("--count", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--count", type=int, default=1000, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--tolerance", type=float, default=1e-10, show_default=True)
 @click.pass_context
 def cmd_verify(ctx, suite, count, seed, tolerance):
     """Run a randomized inequality suite; exit 1 on a violated margin."""
-    count = int(_cfg(ctx, "count", count, 1000))
     if count < 1:
         raise click.BadParameter(f"must be at least 1, got {count}", param_hint="--count")
-    seed = int(_cfg(ctx, "seed", seed, 0))
-    tolerance = float(_cfg(ctx, "tolerance", tolerance, 1e-10))
     if math.isnan(tolerance):
         raise click.BadParameter("must be a number, got nan", param_hint="--tolerance")
     from importlib import import_module
@@ -446,7 +422,7 @@ def energy_step(ctx, spec_text, u_path, deltas):
 
 
 @cmd_energy.command("gd")
-@click.option("--dmax", type=int, default=4, show_default=True)
+@click.option("--dmax", type=click.IntRange(min=1), default=4, show_default=True)
 @click.pass_context
 def energy_gd(ctx, dmax):
     """Table of the geometric constants up to a given dimension."""

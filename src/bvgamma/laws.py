@@ -175,7 +175,7 @@ class ModelLaw(_StepWeightLaw):
     k: int = 1
 
     # perfbench's tracer wraps the __call__ in each law class's own __dict__, so
-    # every class it names keeps this alias of the one evaluator; ROADMAP item 4's
+    # every class it names keeps this alias of the one evaluator; ROADMAP item 5's
     # tracer change removes these lines
     __call__ = InteractionLaw.__call__
 

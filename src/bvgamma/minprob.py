@@ -403,7 +403,7 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     for tag, val, arg, start in zip(tags, values, args, stack):
         tol = 1e-12 * max(1.0, abs(val))
         # a tie goes to the sparser start: its zeros are exact, while a polished
-        # entry can underflow to zero at the clamp of the log coordinates
+        # entry that tends to zero stays positive
         if val < best_val - tol or (val <= best_val + tol and best_arg is not None
                                     and np.count_nonzero(start) < np.count_nonzero(best_start)):
             best_val, best_arg, best_tag, best_start = val, arg, tag, start

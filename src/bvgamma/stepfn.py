@@ -38,6 +38,8 @@ class StepFunction:
         object.__setattr__(self, "values", vs)
         if len(vs) < 1 or len(xs) != len(vs) + 1:
             raise ValueError("need n >= 1 pieces and n + 1 breakpoints")
+        if not all(map(math.isfinite, xs + vs)):
+            raise ValueError("breakpoints and values must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 

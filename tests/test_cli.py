@@ -359,6 +359,19 @@ class TestLawCommand:
         assert doc["scale_factor_exact"] == "1/2"
         assert doc["admissible"] is True
 
+    def test_missing_spec_exits_2(self, runner):
+        result = runner.invoke(main, ["law"])
+        assert result.exit_code == 2
+        assert "--spec" in result.output
+        [line] = [ln for ln in runner.invoke(main, ["law", "--help"]).output.splitlines()
+                  if "--spec" in ln]
+        assert "[required]" in line
+
+    def test_config_option_is_gone(self, runner):
+        result = runner.invoke(main, ["--config", "f.json", "law", "--spec", "psi:2"])
+        assert result.exit_code == 2
+        assert "--config" in result.output
+
 
 class TestMinprobCommand:
     def test_phi1_n8(self, runner):
@@ -401,14 +414,6 @@ class TestMinprobCommand:
         result = runner.invoke(main, ["minprob", *args])
         assert result.exit_code == 2
         assert hint in result.output and message in result.output
-
-    def test_negative_starts_from_config_exits_2(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"starts": -1}))
-        result = runner.invoke(main, ["--config", str(cfg), "minprob", "--law", "psi:2",
-                                      "--n", "8"])
-        assert result.exit_code == 2
-        assert "--starts" in result.output
 
     def test_json_minimizer_dump(self, runner):
         result = runner.invoke(main, ["--json", "minprob", "--law", "phi1", "--n", "8",
@@ -465,23 +470,9 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "at least 1" in result.output
 
-    def test_zero_count_from_config_exits_2(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"count": 0}))
-        result = runner.invoke(main, ["--config", str(cfg), "verify", "chain"])
-        assert result.exit_code == 2
-        assert "at least 1" in result.output
-
     def test_nan_tolerance_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "telescope", "--count", "5",
                                       "--tolerance", "nan"])
-        assert result.exit_code == 2
-        assert "--tolerance" in result.output and "nan" in result.output
-
-    def test_nan_tolerance_from_config_exits_2(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"count": 5, "tolerance": math.nan}))
-        result = runner.invoke(main, ["--config", str(cfg), "verify", "telescope"])
         assert result.exit_code == 2
         assert "--tolerance" in result.output and "nan" in result.output
 
@@ -617,6 +608,12 @@ class TestEnergyCommand:
         assert lines[1].startswith("1,2,exact")
         assert lines[2].startswith("2,4,exact")
 
+    @pytest.mark.parametrize("dmax", ["0", "-3"])
+    def test_gd_dmax_below_1_exits_2(self, runner, dmax):
+        result = runner.invoke(main, ["energy", "gd", "--dmax", dmax])
+        assert result.exit_code == 2
+        assert "--dmax" in result.output and "d," not in result.output
+
     def test_step_sweep_emits_inf_literal(self, runner, tmp_path):
         path = tmp_path / "u.json"
         path.write_text(json.dumps(
@@ -655,6 +652,22 @@ class TestEnergyCommand:
         a, b = (float(x) for x in text.split(".."))
         want = [float(x).hex() for x in np.geomspace(a, b, count)]
         assert [x.hex() for x in delta_sweep(text)] == want
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["breakpoint", "value"])
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_step_non_finite_input_exits_2(self, runner, tmp_path, bad, where, suffix):
+        xs, vs = ["0", "1", "2", "3"], ["0", "0.3", "0.6"]
+        (xs if where == "breakpoint" else vs)[1] = bad
+        path = tmp_path / f"u{suffix}"
+        if suffix == ".json":
+            path.write_text(f'{{"breakpoints": [{", ".join(xs)}], "values": [{", ".join(vs)}]}}')
+        else:
+            path.write_text("".join(f"{x},{v}\n" for x, v in zip(xs, vs + [""])))
+        result = runner.invoke(main, ["energy", "step", "--law", "psi:2", "--u", str(path),
+                                      "--deltas", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert "--u" in result.output and "finite" in result.output
 
     def test_step_non_json_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "u.json"
@@ -741,10 +754,3 @@ class TestEnergyCommand:
         r1 = float(lines[1].split(",")[-1])
         r2 = float(lines[2].split(",")[-1])
         assert 0 < r1 < r2 < 1.0
-
-    def test_config_file_supplies_defaults(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"spec": "phi1"}))
-        result = runner.invoke(main, ["--config", str(cfg), "law", "--report", "N"])
-        assert result.exit_code == 0
-        assert "N = 1" in result.output

@@ -49,6 +49,13 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction((0.0, 0.0, 1.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StepFunction((0.0, bad, 2.0, 3.0), (0.0, 0.3, 0.6))
+        with pytest.raises(ValueError, match="finite"):
+            StepFunction((0.0, 1.0, 2.0, 3.0), (0.0, bad, 0.6))
+
     def test_canonical_merges(self):
         u = StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0))
         c = u.canonical()
