@@ -16,9 +16,9 @@ small near the origin.  Several concrete families are supported:
 
 A law implements only ``threshold_measure``: it states itself once as a measure
 mu of thresholds, law(t) = mu((0, t)), whose atoms may carry exact numbers.  The
-evaluation on scalars or numpy arrays, the scale factor (the integral of
-law(t)/t^2 over (0, inf)), exact or not, and the exact admissibility decision
-are all read from that measure.
+law's value at a number, the scale factor (the integral of law(t)/t^2 over
+(0, inf)), exact or not, and the exact admissibility decision are all read from
+that measure in pure Python.
 """
 
 from __future__ import annotations
@@ -81,40 +81,13 @@ def _checked_weights(values, list_name: str, name: str) -> tuple:
 class InteractionLaw:
     """Base class; a concrete law implements only threshold_measure.
 
-    Calling a law evaluates mu((0, t)) from tables of its measure, built at the
-    first call and cached on the instance: atoms as cumulative levels read by one
-    searchsorted, and density pieces as prefix masses plus the part of the one
-    piece that holds t.  So a call costs a fixed number of numpy calls, and the
-    density part is skipped when the measure has none.
+    Calling a law at a number t is mu((0, t)) read from its measure by
+    ``_mass_below``, the one evaluator every caller shares: the atoms below t and
+    the part of each density piece below t, summed by one fsum.
     """
 
-    def __call__(self, t):
-        import numpy as np
-        thresholds, levels, starts, pieces = self.__dict__.get("_tables") or self._build_tables()
-        t = np.asarray(t, dtype=float)
-        out = levels[np.searchsorted(thresholds, t)]
-        if pieces is not None:
-            # column 0 is an empty piece for t at or below every piece start
-            lo, hi, c, q, base, before = pieces[:, np.searchsorted(starts, t)]
-            out = out + before + c * (np.power(np.clip(t, lo, hi), q) - base) / q
-        return out[()]
-
-    def _build_tables(self):
-        import numpy as np
-        atoms, densities = self.threshold_measure()
-        thresholds = np.array([s for s, _ in atoms], dtype=float)
-        levels = np.concatenate([[0.0], np.cumsum(np.array([w for _, w in atoms], dtype=float))])
-        starts = pieces = None
-        if densities:
-            lo, hi, c, p = np.array([(0.0, 0.0, 0.0, 0.0), *densities], dtype=float).T
-            q = p + 1.0
-            base = np.power(lo, q)
-            mass = c * (np.power(hi, q) - base) / q
-            before = np.concatenate([[0.0], np.cumsum(mass[:-1])])
-            starts, pieces = lo[1:], np.array([lo, hi, c, q, base, before])
-        tables = thresholds, levels, starts, pieces
-        object.__setattr__(self, "_tables", tables)
-        return tables
+    def __call__(self, t) -> float:
+        return _mass_below(self.threshold_measure(), t)
 
     def scale_factor(self) -> float:
         """Integral of law(t) / t^2 over (0, +inf), that is, of 1/s against the

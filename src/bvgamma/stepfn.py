@@ -8,9 +8,8 @@ irrelevant to every integral computed here.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,14 +46,11 @@ class StepFunction:
     def lengths(self):
         return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
 
-    def __call__(self, x):
-        """Evaluate at x (value at a breakpoint is taken from the right piece)."""
-        import numpy as np
-        xs = np.asarray(self.breakpoints)
-        vs = np.asarray(self.values)
-        i = np.clip(np.searchsorted(xs, np.asarray(x, dtype=float), side="right") - 1,
-                    0, len(vs) - 1)
-        return vs[i][()]
+    def __call__(self, x) -> float:
+        """Value at the number x: at a breakpoint the right piece's, and beyond either
+        end the end piece's."""
+        i = bisect_right(self.breakpoints, x) - 1
+        return self.values[min(max(i, 0), len(self.values) - 1)]
 
     def canonical(self) -> "StepFunction":
         """Merge adjacent pieces with equal values."""
@@ -76,8 +72,6 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, doc) -> "StepFunction":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         return cls(tuple(doc["breakpoints"]), tuple(doc["values"]))
 
     @classmethod

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,9 @@ class TestLazyLoading:
 
     def test_law_command_loads_laws_only(self):
         assert _loaded_after(["law", "--spec", "psi:2"]) == {"bvgamma.cli", "bvgamma.laws"}
+        # a probe is mu((0, t)) read from the measure in Python
+        assert _loaded_after(["law", "--spec", "psi:2", "--probe", "0.5"]) == {
+            "bvgamma.cli", "bvgamma.laws"}
 
     # every number these commands print is exact or closed-form Python arithmetic
     @pytest.mark.parametrize("args", [["law", "--spec", "phieps:0.01"],
@@ -90,8 +94,6 @@ class TestLazyLoading:
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
 
     def test_array_commands_load_numpy(self):
-        assert _loaded_after(["law", "--spec", "psi:2", "--probe", "0.5"]) == {
-            "bvgamma.cli", "bvgamma.laws", "numpy"}
         assert _loaded_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
                               "--starts", "2"]) == {
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
@@ -343,6 +345,19 @@ class TestLawCommand:
         assert result.exit_code == 0
         assert "1.5,0.5" in result.output
 
+    def test_probe_is_the_correctly_rounded_sum(self, runner):
+        result = runner.invoke(main, ["law", "--spec", "pca:[0.1,0.2,0.3]", "--probe", "3.5"])
+        assert result.exit_code == 0
+        want = float(sum(map(Fraction, (0.1, 0.2, 0.3))))
+        assert result.output == f"t,value\n3.5,{want:.17g}\n"
+
+    @pytest.mark.parametrize("spec", ["psi:2", "theta"])
+    def test_nan_probe_exits_2(self, runner, spec):
+        # NaN lies below no threshold, so it once printed a number
+        result = runner.invoke(main, ["law", "--spec", spec, "--probe", "0.5", "--probe", "nan"])
+        assert result.exit_code == 2
+        assert "--probe" in result.output and "nan" in result.output
+
     def test_density_law_has_no_exact_scale_factor(self, runner):
         result = runner.invoke(main, ["law", "--spec", "theta", "--report", "N"])
         assert result.exit_code == 0
@@ -470,11 +485,20 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "at least 1" in result.output
 
-    def test_nan_tolerance_exits_2(self, runner):
+    def test_tolerance_option_is_gone(self, runner):
         result = runner.invoke(main, ["verify", "telescope", "--count", "5",
-                                      "--tolerance", "nan"])
+                                      "--tolerance", "1e-10"])
         assert result.exit_code == 2
-        assert "--tolerance" in result.output and "nan" in result.output
+        assert "--tolerance" in result.output
+
+
+@pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8"],
+                                  ["verify", "telescope", "--count", "5"],
+                                  ["bounds", "factor", "--law", "psi:2"]], ids=" ".join)
+def test_negative_seed_exits_2(runner, args):
+    result = runner.invoke(main, [*args, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.output and "-1" in result.output
 
 
 # Recorded while the suites still lived in the CLI module, the telescope rows

@@ -711,8 +711,8 @@ class TestBatchedCrossingMeasure:
 # The shift-grid quadrature that lambda_quad used before the crossing kernel, kept
 # here as an independent second method: it integrates the energy over integer
 # shifts j h of a sampling grid, each shift by the measure of {|w| > threshold} (step
-# laws) or the trapezoid of law(|w| / delta), and refines the grid until the grid
-# doubling plus the shift quadrature's halving estimate is within tol.
+# laws) or the trapezoid of theta(|w| / delta) in closed form, and refines the grid
+# until the grid doubling plus the shift quadrature's halving estimate is within tol.
 
 def _measure_above(w, h, threshold):
     """Measure of {|w| > threshold} for the piecewise-linear interpolant of w.
@@ -758,7 +758,8 @@ def _shift_grid_level(law, samples, h, delta, tol, shifts):
     def inner(w):
         if items is not None:
             return math.fsum(wt * _measure_above(w, h, k * delta) for k, wt in items)
-        vals = np.asarray(law(np.abs(w) / delta), dtype=float)
+        assert isinstance(law, AffineThetaLaw)
+        vals = np.clip(np.abs(w) / delta - 1.0, 0.0, 1.0)
         return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
 
     def integrand(js):

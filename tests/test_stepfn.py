@@ -43,7 +43,8 @@ class TestStepFunction:
         u = StepFunction((0.0, 1.0, 3.0), (2.0, -1.0))
         assert u(0.5) == 2.0
         assert u(2.0) == -1.0
-        assert np.array_equal(u(np.array([0.5, 2.0])), np.array([2.0, -1.0]))
+        # a breakpoint takes the right piece's value, and beyond either end the end piece's
+        assert [u(x) for x in (0.0, 1.0, 3.0, -1.0, 4.0)] == [2.0, -1.0, -1.0, 2.0, -1.0]
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):
