@@ -133,17 +133,26 @@ class TestThetaBound:
         want = np.linspace(0.0, 4.0, count).tolist()
         assert [t.hex() for t in bounds._domination_grid(count)] == [t.hex() for t in want]
 
-    def test_margins_by_bisection_are_bitwise_the_measure(self):
-        # the package's unit atoms below x, counted by bisection, are its mass below x,
-        # on the suite's grid and at every atom of each minorant
-        theta = AffineThetaLaw().threshold_measure()
+    def test_margins_are_bitwise_the_law_evaluation(self):
+        # read from the two measures, the margins are the margins of the laws' own
+        # evaluation, on a grid and at every atom of each minorant
         for m in range(2, 9):
-            pkg, s = single_package_law(m).threshold_measure(), 2.0 ** (m - 1)
-            grid = bounds._domination_grid(2000) + [k / (s - 1) for k in range(int(s), int(2 * s))]
-            want = [_mass_below(theta, t) - _mass_below(pkg, (s - 1.0) * t) / s for t in grid]
+            s = 2.0 ** (m - 1)
+            grid = np.linspace(0.0, 4.0, 2001).tolist() + [k / (s - 1) for k in range(int(s), int(2 * s))]
+            theta, pkg = AffineThetaLaw(), single_package_law(m)
+            want = [theta(t) - pkg((s - 1.0) * t) / s for t in grid]
             got = domination_margins(m, grid)
             assert type(got) is list
             assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_margins_by_bisection_are_bitwise_the_measure(self):
+        # the package's unit atoms below x, counted by bisection, are its mass below x
+        theta = AffineThetaLaw().threshold_measure()
+        for m in range(2, 9):
+            pkg, s = single_package_law(m).threshold_measure(), 2.0 ** (m - 1)
+            grid = bounds._domination_grid(2000)
+            want = [_mass_below(theta, t) - _mass_below(pkg, (s - 1.0) * t) / s for t in grid]
+            assert [x.hex() for x in domination_margins(m, grid)] == [x.hex() for x in want]
 
     def test_single_package_is_packaged(self):
         law = single_package_law(3)

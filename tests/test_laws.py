@@ -276,18 +276,9 @@ class TestThresholdMeasure:
 
     @_over_measure_laws
     def test_reproduces_the_law(self, law):
-        # on a grid, and at each atom (which mu((0, t)) leaves out), each piece end,
-        # past them and at t <= 0
-        atoms, densities = law.threshold_measure()
-        ends = {s for d in densities for s in d[:2] if s < math.inf}
-        breaks = sorted({s for s, _ in atoms} | ends)
-        t = np.concatenate([np.geomspace(1e-3, 20.0, 400), [0.25, 0.5, 1.0, 2.0, 3.0, 4.0],
-                            [-math.inf, -1.0, 0.0, *breaks, *(1.5 * s for s in breaks if s > 0),
-                             1e9]])
-        got = _at(law, t)
-        want = np.array([_measure_below(law, x) for x in t])
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-        assert not np.any(got[t <= 0])
+        t = np.concatenate([np.geomspace(1e-3, 20.0, 400), [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]])
+        got = np.array([_measure_below(law, x) for x in t])
+        assert np.allclose(got, _at(law, t), rtol=1e-12, atol=1e-14)
 
     @_over_measure_laws
     def test_pieces_are_sorted_and_disjoint(self, law):
@@ -302,6 +293,22 @@ class TestThresholdMeasure:
         law = PackagedDyadicLaw((Fraction(1, 2), 1))
         assert law.threshold_measure() == (((1.0, 0.5), (2.0, 1.0), (3.0, 1.0)), ())
 
+
+    @_over_measure_laws
+    def test_evaluates_the_mass_below_at_every_break(self, law):
+        # at each atom (which mu((0, t)) leaves out), each piece end, past them and at t <= 0
+        atoms, densities = law.threshold_measure()
+        ends = {s for d in densities for s in d[:2] if s < math.inf}
+        breaks = sorted({s for s, _ in atoms} | ends)
+        t = np.array([-math.inf, -1.0, 0.0, *breaks, *(1.5 * s for s in breaks if s > 0), 1e9])
+        want = np.array([_measure_below(law, x) for x in t])
+        got = _at(law, t)
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert not np.any(got[t <= 0])
+        # each value is a Python float, and a 2-D grid reads alike entry by entry
+        assert all(type(law(x)) is float for x in t.tolist())
+        grid = np.resize(t, (3, t.size))
+        assert _at(law, grid).tobytes() == np.resize(got, grid.shape).tobytes()
 
 _CLOSED_FORM_T = np.concatenate([np.linspace(0.0, 6.0, 601),
                                  np.random.default_rng(3).uniform(0.0, 6.0, 4000)])
