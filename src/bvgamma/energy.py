@@ -126,7 +126,7 @@ def suite_rearrange(rng, count: int) -> tuple:
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 20, levels=7)
-        k = int(rng.integers(1, 6))
+        k = rng.randrange(1, 6)
         f_u = hostility(1.0, u, k).value
         f_mu = hostility(1.0, rearrange(u), k).value
         margin = _chain_margin(f_u, f_mu)
@@ -150,13 +150,13 @@ def suite_chain(rng, count: int) -> tuple:
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 10)
-        delta = float(rng.choice([0.5, 1.0]))
-        lo = delta * int(rng.integers(-4, 0))
-        hi = delta * int(rng.integers(1, 5))
+        delta = rng.choice([0.5, 1.0])
+        lo = delta * rng.randrange(-4, 0)
+        hi = delta * rng.randrange(1, 5)
         tu = truncate(u, lo, hi)
         stu = segment(tu, delta)
         mstu = rearrange(stu)
-        tag, law = _CHAIN_LAWS[int(rng.integers(0, len(_CHAIN_LAWS)))]
+        tag, law = rng.choice(_CHAIN_LAWS)
         vals = [lambda_step(law, w, delta).value for w in (u, tu, stu, mstu)]
         for stage, (bigger, smaller) in enumerate(zip(vals, vals[1:])):
             margin = _chain_margin(bigger, smaller)

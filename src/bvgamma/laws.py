@@ -87,6 +87,8 @@ class InteractionLaw:
     """
 
     def __call__(self, t) -> float:
+        if t != t:  # NaN lies below no atom, so the measure would read 0
+            raise ValueError("a law has no value at NaN")
         return _mass_below(self.threshold_measure(), t)
 
     def scale_factor(self) -> float:

@@ -101,34 +101,36 @@ def power_cost(lengths, k: int, p: float) -> float:
 def telescopic_margin(lengths, a: int, b: int) -> float:
     """Slack of the telescopic lower bound: sum of costs minus the collapsed sum.
 
-    Nonnegative for every admissible tuple; exactly zero when b == a.
+    Nonnegative for every admissible tuple; exactly zero when b == a.  Runs in
+    Python: each window sum is an fsum of its slice.
     """
-    import numpy as np
     n = len(lengths)
     if not 1 <= a <= b <= n - 1:
         raise ValueError("need 1 <= a <= b <= n-1")
     if not in_domain(lengths, a):
         raise ValueError(f"tuple has {a} consecutive zeros")
-    sums = {j: window_sums(lengths, j) for j in range(a, b + 2)}
-    lhs_terms = []
-    for j in range(a, b + 1):
-        lhs_terms.extend(_log_terms(sums[j], sums[j + 1]))
-    s_a, s_b1 = sums[a], sums[b + 1]
+    lengths = [float(x) for x in lengths]
+    logs = {j: [math.log(math.fsum(lengths[i:i + j])) for i in range(n - j + 1)]
+            for j in range(a, b + 2)}
+
+    def terms(j, k, shift):
+        # 2 log S_{i,k} - log S_{i,j} - log S_{i+shift,j}: the cost terms at shift 1
+        return [2.0 * top - logs[j][i] - logs[j][i + shift] for i, top in enumerate(logs[k])]
+
+    lhs = [t for j in range(a, b + 1) for t in terms(j, j + 1, 1)]
     # same operations as the cost terms, so the b == a case cancels exactly
-    shift = (b - a) + 1
-    rhs_terms = (2.0 * np.log(s_b1) - np.log(s_a[: n - b])
-                 - np.log(s_a[shift: shift + n - b]))
-    return math.fsum(lhs_terms) - math.fsum(rhs_terms)
+    return math.fsum(lhs) - math.fsum(terms(a, b + 1, b - a + 1))
 
 
-def random_length_tuple(rng, n: int, a: int) -> np.ndarray:
+def random_length_tuple(rng, n: int, a: int) -> list:
     """n lognormal lengths, each zeroed with probability 0.3, conditioned on in_domain(., a).
 
     The lengths are positive, so the zero mask alone decides: no run of
     min(a, n) zeros.  It is drawn exactly, without redraws: with back[i][r] the
     probability that entries i..n-1 keep every run below a after a run of r,
     entry i is zero iff its uniform is below 0.3 * back[i+1][r+1] / back[i][r].
-    The draws are ``rng.lognormal(0, 1, n)``, then ``rng.random(n)``.
+    ``rng`` is a ``random.Random``; the draws are n ``rng.lognormvariate(0, 1)``,
+    then n ``rng.random()``.
     """
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
@@ -137,9 +139,9 @@ def random_length_tuple(rng, n: int, a: int) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         nxt = back[i + 1]
         back[i] = [0.7 * nxt[0] + (0.3 * nxt[r + 1] if r + 1 < a else 0.0) for r in range(a)]
-    vals = rng.lognormal(0.0, 1.0, size=n)
+    vals = [rng.lognormvariate(0.0, 1.0) for _ in range(n)]
     run = 0
-    for i, u in enumerate(rng.random(n).tolist()):
+    for i, u in enumerate([rng.random() for _ in range(n)]):
         if run + 1 < a and u < 0.3 * back[i + 1][run + 1] / back[i][run]:
             vals[i] = 0.0
             run += 1
@@ -155,17 +157,17 @@ def suite_telescope(rng, count: int) -> tuple:
     """
     worst, witness = math.inf, None
     for _ in range(count):
-        n = int(rng.integers(4, 25))
-        a = int(rng.integers(1, min(4, n - 1) + 1))
+        n = rng.randrange(4, 25)
+        a = rng.randrange(1, min(4, n - 1) + 1)
         lengths = random_length_tuple(rng, n, a)
-        b = int(rng.integers(a, n))
+        b = rng.randrange(a, n)
         margin = telescopic_margin(lengths, a, b)
         if b == a and margin != 0.0:
-            return margin, {"lengths": list(lengths), "a": a, "b": b,
+            return margin, {"lengths": lengths, "a": a, "b": b,
                             "reason": "b=a margin not exactly zero"}
         if margin < worst:
             worst = margin
-            witness = {"lengths": [float(x) for x in lengths], "a": a, "b": b}
+            witness = {"lengths": lengths, "a": a, "b": b}
     return worst, witness
 
 

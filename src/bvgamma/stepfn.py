@@ -48,7 +48,9 @@ class StepFunction:
 
     def __call__(self, x) -> float:
         """Value at the number x: at a breakpoint the right piece's, and beyond either
-        end the end piece's."""
+        end the end piece's; NaN raises ValueError."""
+        if x != x:
+            raise ValueError("a step function has no value at NaN")
         i = bisect_right(self.breakpoints, x) - 1
         return self.values[min(max(i, 0), len(self.values) - 1)]
 
@@ -197,18 +199,14 @@ def staircase_from_gaps(lengths, delta: float, start: float = 0.0,
 
 
 def random_step_function(rng, max_pieces: int, levels: int | None = None) -> StepFunction:
-    """Step function on [0, 10] with 2..max_pieces pieces.
+    """Step function on [0, 10] with 2..max_pieces pieces, drawn from a ``random.Random``.
 
     The values are integers 0..levels-1 when ``levels`` is given and uniform
     in [-3, 3] otherwise.
     """
-    import numpy as np
-    n = int(rng.integers(2, max_pieces + 1))
-    bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    while np.any(np.diff(bp) < 1e-6):
-        bp = np.sort(rng.uniform(0.0, 10.0, size=n + 1))
-    if levels is None:
-        vals = rng.uniform(-3.0, 3.0, size=n)
-    else:
-        vals = rng.integers(0, levels, size=n)
+    n = rng.randrange(2, max_pieces + 1)
+    bp = sorted(rng.uniform(0.0, 10.0) for _ in range(n + 1))
+    while any(y - x < 1e-6 for x, y in zip(bp, bp[1:])):
+        bp = sorted(rng.uniform(0.0, 10.0) for _ in range(n + 1))
+    vals = [rng.uniform(-3.0, 3.0) if levels is None else rng.randrange(levels) for _ in range(n)]
     return StepFunction(tuple(bp), tuple(vals))

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -144,8 +145,14 @@ class TestLazyLoading:
             "bvgamma.cli", "bvgamma.laws", "bvgamma.minprob", "numpy"}
 
     def test_verify_telescope_loads_minprob_only(self):
+        # the suite draws from Python's random and sums its windows in Python
         assert _loaded_after(["verify", "telescope", "--count", "5"]) == {
-            "bvgamma.cli", "bvgamma.minprob", "numpy"}
+            "bvgamma.cli", "bvgamma.minprob"}
+
+    @pytest.mark.parametrize("suite", ["rearrange", "chain"])
+    def test_verify_step_suites_load_neither_numpy_nor_minprob(self, suite):
+        assert _loaded_after(["verify", suite, "--count", "50"]) == {
+            "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
 
     def test_bounds_psi_loads_neither_energy_nor_stepfn(self):
         loaded = _loaded_after(["bounds", "psi", "--m", "1..3"])
@@ -501,22 +508,19 @@ def test_negative_seed_exits_2(runner, args):
     assert "--seed" in result.output and "-1" in result.output
 
 
-# Recorded while the suites still lived in the CLI module, the telescope rows
-# again with the exact sampler of random_length_tuple, and the chain rows again
-# with the telescoped pair kernel (their witnesses hold energies at 17 digits,
-# which moved in the last digits): per suite, count and
-# seed, the least margin, the first 16 hex digits of the SHA-256 of the
-# witness as sorted-key JSON, and the generator's next uniform draw (which
-# pins every draw the suite made, in order).
+# Recorded from the suites drawing from random.Random(seed), which draw and sum
+# their windows in Python: per suite, count and seed, the least margin, the
+# first 16 hex digits of the SHA-256 of the witness as sorted-key JSON, and the
+# generator's next uniform draw (which pins every draw the suite made, in order).
 SEEDED_SUITES = [
-    ("telescope", 100, 0, "-0x1.0000000000000p-50", "e382413543b6059b", "0x1.d5b3cdec218c9p-1"),
-    ("rearrange", 30, 0, "0x0.0p+0", "16b8764bf93fe67a", "0x1.78cafa63d531ap-1"),
-    ("chain", 20, 0, "0x0.0p+0", "5368213c7c1a980d", "0x1.063ba02c924ffp-1"),
-    ("domination", 200, 0, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.461fd79fb3850p-1"),
-    ("telescope", 100, 7, "0x0.0p+0", "a1b359612cf5e368", "0x1.a62f0248b4200p-5"),
-    ("rearrange", 30, 7, "0x0.0p+0", "139c2e193ae0289d", "0x1.e5bb7d1bd3eacp-2"),
-    ("chain", 20, 7, "0x0.0p+0", "71a21987469bafb4", "0x1.0184c4cc78268p-3"),
-    ("domination", 200, 7, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.400c8353e3ca9p-1"),
+    ("telescope", 100, 0, "0x0.0p+0", "264bf7d062a454ce", "0x1.f9a6ebaa16cd1p-1"),
+    ("rearrange", 30, 0, "0x0.0p+0", "5d96a432070a9492", "0x1.6782c384af7ddp-1"),
+    ("chain", 20, 0, "0x0.0p+0", "761d17a56116fc05", "0x1.6f1ff78eb8b9ep-2"),
+    ("domination", 200, 0, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.b0580f98a7dbep-1"),
+    ("telescope", 100, 7, "0x0.0p+0", "531f53df21df06c3", "0x1.be0bf2cd99b99p-1"),
+    ("rearrange", 30, 7, "0x0.0p+0", "d8dc37998b371a53", "0x1.e20b0cf4d3470p-1"),
+    ("chain", 20, 7, "0x0.0p+0", "6b1ceb50c2626ff7", "0x1.376307f6cc733p-1"),
+    ("domination", 200, 7, "0x0.0p+0", "35bd8b41b7f64b73", "0x1.4b9ad0f953a6ep-2"),
 ]
 
 SUITE_FUNCTIONS = {
@@ -530,7 +534,7 @@ SUITE_FUNCTIONS = {
 @pytest.mark.parametrize("suite,count,seed,margin,witness,next_draw", SEEDED_SUITES)
 def test_seeded_suites_reproduce_recorded_output(runner, suite, count, seed, margin,
                                                  witness, next_draw):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst, found = SUITE_FUNCTIONS[suite](rng, count)
     digest = hashlib.sha256(json.dumps(found, sort_keys=True).encode()).hexdigest()
     assert (float.hex(worst), digest[:16], float.hex(rng.random())) == (

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -240,10 +241,10 @@ class TestPairKernel:
         assert finite > 0 or name == "phieps"
 
     def test_hostility_matches_mpmath(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for _ in range(50):
             u = random_step_function(rng, 20, levels=7)
-            k = int(rng.integers(1, 6))
+            k = rng.randrange(1, 6)
             want = 0.5 * _mp_step_energy(ModelLaw(k), u, 1.0, _mp_pair_logs(u.breakpoints))
             got = hostility(0.5, u, k).value
             assert got == want if math.isinf(want) else abs(got - want) <= 1e-14 * want

@@ -80,6 +80,14 @@ class TestEvaluate:
     def test_theta_affine_piece(self):
         assert AffineThetaLaw()(1.5) == 0.5
 
+    @pytest.mark.parametrize("law", [ModelLaw(1), PackagedDyadicLaw((1, 1)), AffineThetaLaw(),
+                                     DyadicAffineLaw(nodes=((0, 0.0), (1, 1.0))),
+                                     phi_eps(0.1)], ids=repr)
+    def test_nan_raises(self, law):
+        # NaN lies below no threshold, so the measure below it would read 0
+        with pytest.raises(ValueError, match="NaN"):
+            law(math.nan)
+
     def test_pca_sum_of_steps(self):
         law = PiecewiseConstantLaw((1, 1, 1))
         # term-by-term: phi1(2.5) + phi2(2.5) + phi3(2.5) = 1 + 1 + 0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from bvgamma import minprob
 from bvgamma.minprob import (
     MinProblem,
     _certified_minimum,
+    _log_terms,
     in_domain,
     log_cost,
     minimize,
@@ -48,19 +50,34 @@ def _in_domain_convolve(lengths, k):
 def _telescopic_margin_per_cost(lengths, a, b):
     """Margin with the window sums formed again for each cost: the oracle for
     telescopic_margin."""
-    lengths = np.asarray(lengths, dtype=float)
+    lengths = [float(x) for x in lengths]
     n = len(lengths)
 
+    def logs(j):
+        return [math.log(math.fsum(lengths[i:i + j])) for i in range(n - j + 1)]
+
     def terms(j):
-        s_j, s_j1 = window_sums(lengths, j), window_sums(lengths, j + 1)
-        return 2.0 * np.log(s_j1) - np.log(s_j[:-1]) - np.log(s_j[1:])
+        s_j, s_j1 = logs(j), logs(j + 1)
+        return [2.0 * s_j1[i] - s_j[i] - s_j[i + 1] for i in range(n - j)]
 
     lhs = [t for j in range(a, b + 1) for t in terms(j)]
+    s_a, s_b1 = logs(a), logs(b + 1)
+    shift = (b - a) + 1
+    rhs = [2.0 * s_b1[i] - s_a[i] - s_a[i + shift] for i in range(n - b)]
+    return math.fsum(lhs) - math.fsum(rhs)
+
+
+def _telescopic_margin_from_window_sums(lengths, a, b):
+    """The margin from numpy's window_sums and _log_terms, the arrays MinProblem reads,
+    and the sum of the magnitudes of its cost terms."""
+    n = len(lengths)
+    lhs = [t for j in range(a, b + 1)
+           for t in _log_terms(window_sums(lengths, j), window_sums(lengths, j + 1))]
     s_a, s_b1 = window_sums(lengths, a), window_sums(lengths, b + 1)
     shift = (b - a) + 1
     rhs = (2.0 * np.log(s_b1) - np.log(s_a[: n - b])
            - np.log(s_a[shift: shift + n - b]))
-    return math.fsum(lhs) - math.fsum(rhs)
+    return math.fsum(lhs) - math.fsum(rhs), math.fsum(abs(t) for t in lhs)
 
 
 def _loop_gradient(problem, lengths):
@@ -170,7 +187,7 @@ class TestRandomLengthTuple:
         # expected below 5 times pooled into one; the chi-square statistics and
         # degrees of freedom add over the independent cases, and the bound is
         # the normal upper 5-sigma point of the total
-        rng, twin = np.random.default_rng(35), np.random.default_rng(35)
+        rng, twin = random.Random(35), random.Random(35)
         draws, chi2, dof = 3000, 0.0, 0
         for n in range(2, 9):
             for a in range(1, min(4, n - 1) + 1):
@@ -183,11 +200,12 @@ class TestRandomLengthTuple:
                 seen = Counter()
                 for _ in range(draws):
                     l = random_length_tuple(rng, n, a)
-                    want = twin.lognormal(0.0, 1.0, n)
-                    twin.random(n)
+                    want = [twin.lognormvariate(0.0, 1.0) for _ in range(n)]
+                    for _ in range(n):
+                        twin.random()
                     assert in_domain(l, a)
-                    assert np.all((l == 0.0) | (l == want))
-                    seen[tuple((l == 0.0).tolist())] += 1
+                    assert all(x == 0.0 or x == w for x, w in zip(l, want))
+                    seen[tuple(x == 0.0 for x in l)] += 1
                 assert set(seen) <= set(exact)
                 expected = {m: draws * p / total for m, p in exact.items()}
                 rare = [m for m in exact if expected[m] < 5]
@@ -200,10 +218,11 @@ class TestRandomLengthTuple:
         assert chi2 < dof + 5 * math.sqrt(2 * dof), (chi2, dof)
 
     def test_window_as_long_as_the_tuple_needs_one_positive_entry(self):
-        rng = np.random.default_rng(36)
+        rng = random.Random(36)
         for n in range(1, 4):
             for a in range(n, n + 3):
-                masks = {tuple(random_length_tuple(rng, n, a) == 0.0) for _ in range(300)}
+                masks = {tuple(x == 0.0 for x in random_length_tuple(rng, n, a))
+                         for _ in range(300)}
                 assert (True,) * n not in masks
                 assert len(masks) == 2 ** n - 1
         for n, a in [(0, 1), (3, 0)]:
@@ -216,10 +235,10 @@ class TestLogCost:
         assert log_cost((1.0, 1.0, 1.0), 1) == pytest.approx(2 * math.log(4), abs=1e-14)
 
     def test_scale_invariant(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         for _ in range(50):
             l = random_length_tuple(rng, 10, 2)
-            assert log_cost(7.3 * l, 2) == pytest.approx(log_cost(l, 2), rel=1e-12)
+            assert log_cost(7.3 * np.array(l), 2) == pytest.approx(log_cost(l, 2), rel=1e-12)
 
     def test_period3_beats_all_equal(self):
         pattern = np.tile([1.0, 0.0, 0.0], 4)
@@ -239,20 +258,20 @@ class TestPowerCost:
         assert power_cost(np.ones(n), 1, 2.0) == pytest.approx(n - 1, abs=1e-12)
 
     def test_summands_nonnegative(self):
-        rng = np.random.default_rng(22)
+        rng = random.Random(22)
         for _ in range(200):
-            n = int(rng.integers(4, 16))
-            k = int(rng.integers(1, 4))
+            n = rng.randrange(4, 16)
+            k = rng.randrange(1, 4)
             l = random_length_tuple(rng, n, k)
-            p = float(rng.uniform(1.01, 4.0))
+            p = rng.uniform(1.01, 4.0)
             assert power_cost(l, k, p) >= -1e-12
 
     def test_limit_to_log_cost(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for _ in range(100):
-            n = int(rng.integers(4, 12))
-            k = int(rng.integers(1, 3))
-            l = random_length_tuple(rng, n, k)
+            n = rng.randrange(4, 12)
+            k = rng.randrange(1, 3)
+            l = np.array(random_length_tuple(rng, n, k))
             l = l / l.sum()
             a = power_cost(l, k, 1.0 + 1e-6)
             b = log_cost(l, k)
@@ -265,23 +284,28 @@ class TestPowerCost:
 
 class TestTelescopic:
     def test_equality_at_b_equals_a(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(200):
-            n = int(rng.integers(4, 20))
-            a = int(rng.integers(1, min(4, n - 1) + 1))
+            n = rng.randrange(4, 20)
+            a = rng.randrange(1, min(4, n - 1) + 1)
             l = random_length_tuple(rng, n, a)
             assert telescopic_margin(l, a, a) == 0.0
 
     def test_nonnegative_margins(self):
-        rng = np.random.default_rng(25)
+        rng = random.Random(25)
         for _ in range(5000):
-            n = int(rng.integers(4, 25))
-            a = int(rng.integers(1, min(4, n - 1) + 1))
+            n = rng.randrange(4, 25)
+            a = rng.randrange(1, min(4, n - 1) + 1)
             l = random_length_tuple(rng, n, a)
-            b = int(rng.integers(a, n))
+            b = rng.randrange(a, n)
             margin = telescopic_margin(l, a, b)
             assert margin >= -1e-10
             assert margin == _telescopic_margin_per_cost(l, a, b)
+            # the Python window sums and logs agree with numpy's to rounding, relative to
+            # the size of the costs: a margin can vanish exactly (a zero length makes a
+            # merge exact), and one form may then read 0 where the other reads 1e-15
+            reference, size = _telescopic_margin_from_window_sums(l, a, b)
+            assert abs(margin - reference) <= 1e-12 * size, (l, a, b)
 
     def test_suite_ends_at_a_nonzero_equality_margin(self, monkeypatch):
         calls = []
@@ -291,7 +315,7 @@ class TestTelescopic:
             return 1e-300 if a == b else 1.0
 
         monkeypatch.setattr(minprob, "telescopic_margin", margin)
-        worst, witness = minprob.suite_telescope(np.random.default_rng(0), 1000)
+        worst, witness = minprob.suite_telescope(random.Random(0), 1000)
         assert worst == 1e-300 and witness["reason"] == "b=a margin not exactly zero"
         assert calls.index(True) == len(calls) - 1
 
@@ -354,9 +378,9 @@ class TestValueAndGrad:
 
     @pytest.mark.parametrize("law", LAWS, ids=repr)
     def test_matches_per_cost_objective_and_loop_gradient(self, law):
-        rng = np.random.default_rng(30)
+        rng = random.Random(30)
         for _ in range(200):
-            n = int(rng.integers(law.steps[-1][0] + 1, 21))
+            n = rng.randrange(law.steps[-1][0] + 1, 21)
             pb = MinProblem(n=n, law=law)
             l = random_length_tuple(rng, n, pb.min_index)
             value, grad = pb.value_and_grad(l)
@@ -588,6 +612,13 @@ def _period_pattern(n, k):
     return pattern
 
 
+def _jittered_pattern(rng, n, k):
+    """The period-k pattern times lognormal(0, 0.1) factors, each entry then raised by
+    1e-3 times a lognormal(0, 1) draw with probability 0.3, from the random.Random rng."""
+    l = [p * rng.lognormvariate(0.0, 0.1) for p in _period_pattern(n, k).tolist()]
+    return [x + 1e-3 * rng.lognormvariate(0.0, 1.0) if rng.random() < 0.3 else x for x in l]
+
+
 class TestCertifiedMinimum:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_block_identity_has_nonnegative_coefficients(self, k):
@@ -616,19 +647,18 @@ class TestCertifiedMinimum:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_bound_holds_on_random_admissible_tuples(self, k):
-        rng = np.random.default_rng(32 + k)
+        rng = random.Random(32 + k)
         with_zeros = 0
         for draw in range(2000):
-            n = k * int(rng.integers(2, 25 // k + 1))
+            n = k * rng.randrange(2, 25 // k + 1)
             bound = _certified_minimum(MinProblem(n=n, law=ModelLaw(k)))[0]
             assert bound == (n // k - 1) * math.log(4.0)
             if draw % 2:
                 l = random_length_tuple(rng, n, k)
             else:
                 # near the minimum: a jittered period-k pattern with a light fill
-                l = _period_pattern(n, k) * rng.lognormal(0.0, 0.1, n)
-                l += np.where(rng.random(n) < 0.3, 1e-3 * rng.lognormal(0.0, 1.0, n), 0.0)
-            with_zeros += bool(np.any(l == 0.0))
+                l = _jittered_pattern(rng, n, k)
+            with_zeros += 0.0 in l
             assert log_cost(l, k) >= bound - 1e-12 * max(1.0, bound)
         # phi_1's domain has no zeros at all
         assert with_zeros >= 1000 if k > 1 else with_zeros == 0
@@ -652,16 +682,16 @@ class TestCertifiedMinimum:
     def test_grouping_bound_when_k_does_not_divide_n(self, k):
         # log_cost(l, k) >= log_cost(C, 1) >= (m - 1) log 4, with C the m block
         # sums of l whose last block holds k + r entries
-        rng = np.random.default_rng(38 + k)
+        rng = random.Random(38 + k)
         for draw in range(500):
-            m, r = int(rng.integers(1, 6)), int(rng.integers(1, k))
+            m, r = rng.randrange(1, 6), rng.randrange(1, k)
             n = m * k + r
             if draw % 2:
                 l = random_length_tuple(rng, n, k)
             else:
-                l = _period_pattern(n, k) * rng.lognormal(0.0, 0.1, n)
-                l += np.where(rng.random(n) < 0.3, 1e-3 * rng.lognormal(0.0, 1.0, n), 0.0)
-            blocks = [l[j * k:(j + 1) * k].sum() for j in range(m - 1)] + [l[(m - 1) * k:].sum()]
+                l = _jittered_pattern(rng, n, k)
+            blocks = ([math.fsum(l[j * k:(j + 1) * k]) for j in range(m - 1)]
+                      + [math.fsum(l[(m - 1) * k:])])
             bound = log_cost(blocks, 1) if m > 1 else 0.0
             assert bound >= (m - 1) * math.log(4.0) - 1e-12 * max(1.0, bound)
             assert log_cost(l, k) >= bound - 1e-12 * max(1.0, bound)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -45,6 +46,9 @@ class TestStepFunction:
         assert u(2.0) == -1.0
         # a breakpoint takes the right piece's value, and beyond either end the end piece's
         assert [u(x) for x in (0.0, 1.0, 3.0, -1.0, 4.0)] == [2.0, -1.0, -1.0, 2.0, -1.0]
+        # NaN lies past every breakpoint, so it would read the last piece
+        with pytest.raises(ValueError, match="NaN"):
+            u(math.nan)
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):
@@ -250,7 +254,7 @@ def test_chain_pipeline_properties(u):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_step_function_levels_and_piece_counts(seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(20):
         u = random_step_function(rng, 20, levels=7)
         assert 2 <= len(u.values) <= 20
