@@ -175,9 +175,12 @@ def cmd_law(ctx, spec_text, report, probe):
 # minprob
 # ---------------------------------------------------------------------------
 
-def _min_problems(law, ns, n_hint):
-    """The minimum problem of ``law`` at each n; one it cannot build is a bad option."""
+def _min_problems(law, ns, n_hint, starts):
+    """The minimum problem of ``law`` at each n; one it cannot build, or a negative
+    ``starts``, is a bad option."""
     from .minprob import MinProblem
+    if starts < 0:
+        raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
     try:
         return [MinProblem(n=n, law=law) for n in ns]
     except TypeError as exc:
@@ -197,9 +200,7 @@ def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     """Minimize the weighted log-cost objective over length tuples."""
     from .minprob import minimize
     law = parse_law_spec(spec_text)
-    if starts < 0:
-        raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
-    problems = _min_problems(law, ns, "--n")
+    problems = _min_problems(law, ns, "--n", starts)
 
     results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
     rows = []
@@ -330,9 +331,7 @@ def bounds_factor(ctx, spec_text, n_max, starts, seed):
     """Gamma-liminf coefficient per unit of total variation."""
     from .bounds import gamma_liminf_factor
     law = parse_law_spec(spec_text)
-    if starts < 0:
-        raise click.BadParameter(f"must be at least 0, got {starts}", param_hint="--starts")
-    _min_problems(law, [n_max], "--n-max")  # the largest problem gamma_liminf_factor builds
+    _min_problems(law, [n_max], "--n-max", starts)  # the largest problem gamma_liminf_factor builds
     factor, chain = gamma_liminf_factor(law, n_max=n_max, starts=starts, seed=seed)
     doc = {"factor": factor, "chain": [[s, c] for s, c in chain]}
     if ctx.obj["json"]:

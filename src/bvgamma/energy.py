@@ -120,19 +120,49 @@ def _chain_margin(bigger: float, smaller: float) -> float:
     return 0.0 if bigger == smaller else bigger - smaller
 
 
+def _rearrange_faults(u, mu) -> list:
+    """(-size, witness entry) of each way ``mu`` is not ``u`` rearranged: a drop between
+    neighbors, or a level set whose measure differs by more than 1e-12 (b - a)."""
+    def measures(w):
+        pieces = {}
+        for v, l in zip(w.values, w.lengths):
+            pieces.setdefault(v, []).append(l)
+        return {v: math.fsum(ls) for v, ls in pieces.items()}
+    before, after = measures(u), measures(mu)
+    off = [abs(before.get(v, 0.0) - after.get(v, 0.0)) for v in {*before, *after}]
+    return ([(b - a, {"property": "rearrange: nondecreasing"})
+             for a, b in zip(mu.values, mu.values[1:]) if b < a]
+            + [(-d, {"property": "rearrange: level-set measures"})
+               for d in off if d > 1e-12 * (u.breakpoints[-1] - u.breakpoints[0])])
+
+
+def _segment_faults(tu, stu, delta) -> list:
+    """(-size, witness entry) of each piece where ``stu`` is not ``tu`` snapped down to
+    delta Z: off the lattice or above tu by more than 1e-12 max(delta, |tu|), or tu - stu
+    at least delta."""
+    faults = []
+    for t, s in zip(tu.values, stu.values):
+        sizes = {"on delta Z": abs(s / delta - round(s / delta)) * delta, "at most tu": s - t,
+                 "above tu - delta": t - s if t - s >= delta else 0.0}
+        faults += [(-d, {"property": f"segment: {name}"}) for name, d in sizes.items()
+                   if d > 1e-12 * max(delta, abs(t))]
+    return faults
+
+
 def suite_rearrange(rng, count: int) -> tuple:
-    """Least hostility loss under rearrangement over ``count`` random arrangements."""
+    """Least hostility loss under rearrangement over ``count`` random arrangements; a
+    rearrangement that breaks its own properties counts its fault as a negative margin."""
     from .stepfn import random_step_function, rearrange
     worst, witness = math.inf, None
     for _ in range(count):
         u = random_step_function(rng, 20, levels=7)
         k = rng.randrange(1, 6)
-        f_u = hostility(1.0, u, k).value
-        f_mu = hostility(1.0, rearrange(u), k).value
-        margin = _chain_margin(f_u, f_mu)
-        if margin < worst:
-            worst = margin
-            witness = {"u": u.to_json(), "k": k}
+        mu = rearrange(u)
+        f_u, f_mu = hostility(1.0, u, k).value, hostility(1.0, mu, k).value
+        for margin, where in [(_chain_margin(f_u, f_mu), {}), *_rearrange_faults(u, mu)]:
+            if margin < worst:
+                worst = margin
+                witness = {"u": u.to_json(), "k": k, **where}
     return worst, witness
 
 
@@ -144,7 +174,8 @@ def suite_chain(rng, count: int) -> tuple:
     """Least energy drop along u >= truncate >= segment >= rearrange.
 
     Each of ``count`` draws takes a random step function, truncation window,
-    lattice step and law; the witness names the stage of the worst drop.
+    lattice step and law; the witness names the stage of the worst drop, or the
+    property that segment or rearrange broke, whose fault counts as a negative margin.
     """
     from .stepfn import random_step_function, rearrange, segment, truncate
     worst, witness = math.inf, None
@@ -158,11 +189,11 @@ def suite_chain(rng, count: int) -> tuple:
         mstu = rearrange(stu)
         tag, law = rng.choice(_CHAIN_LAWS)
         vals = [lambda_step(law, w, delta).value for w in (u, tu, stu, mstu)]
-        for stage, (bigger, smaller) in enumerate(zip(vals, vals[1:])):
-            margin = _chain_margin(bigger, smaller)
+        drops = [(_chain_margin(*pair), {"stage": i}) for i, pair in enumerate(zip(vals, vals[1:]))]
+        for margin, where in drops + _segment_faults(tu, stu, delta) + _rearrange_faults(stu, mstu):
             if margin < worst:
                 worst = margin
-                witness = {"u": u.to_json(), "delta": delta, "law": tag, "stage": stage,
+                witness = {"u": u.to_json(), "delta": delta, "law": tag, **where,
                            "values": [format(v, ".17g") for v in vals]}
     return worst, witness
 

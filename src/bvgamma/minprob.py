@@ -8,6 +8,7 @@ tuples without too many consecutive zeros drives the shape-factor bounds.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -31,11 +32,9 @@ def window_sums(lengths, k: int) -> np.ndarray:
     n = lengths.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"window size {k} out of range for {n} entries")
-    # direct sliding sums over the flattened rows, keeping each row's own windows, which
-    # are bitwise its 1-D sums; cumulative-sum differences would cancel windows of tiny
-    # entries against their large neighbors
-    flat = np.convolve(lengths.ravel(), np.ones(k), mode="valid")
-    return np.append(flat, np.zeros(k - 1)).reshape(lengths.shape)[..., :n - k + 1]
+    # each window adds its entries left to right (onto 0), so a row's sums are bitwise its
+    # 1-D sums; cumulative-sum differences would cancel tiny entries against large neighbors
+    return sum(lengths[..., j:n - k + 1 + j] for j in range(k))
 
 
 def in_domain(lengths, k: int) -> bool:
@@ -216,23 +215,25 @@ class MinProblem:
         n, mu = self.n, self.min_index
         if lengths.shape[-1] != n:
             raise ValueError(f"expected {n} lengths")
-        sums = {j: window_sums(lengths, j) for k, _ in self.law.steps for j in (k, k + 1)}
+        sizes = sorted({j for k, _ in self.law.steps for j in (k, k + 1)})
+        sums = {j: window_sums(lengths, j) for j in sizes}
         # in_domain(row, mu) for every row, read from the windows of size mu
         if np.any(lengths < 0) or not np.all(sums[mu] > 0):
             raise ValueError(f"tuple outside the domain (zero run of {mu})")
+        logs = {j: np.log(s) for j, s in sums.items()}
         costs = []
         grad = np.zeros(lengths.shape)
         for k, w in self.law.steps:
             w = float(w)
-            s_k, s_k1 = sums[k], sums[k + 1]
-            costs.append([w * math.fsum(t) for t in _log_terms(s_k, s_k1).tolist()])
+            terms = 2.0 * logs[k + 1] - logs[k][:, :-1] - logs[k][:, 1:]  # as _log_terms
+            costs.append([w * math.fsum(t) for t in terms.tolist()])
             # range-add via difference arrays: each window sum S_{i,l}
             # contributes its reciprocal to positions i .. i+l-1; the slice
             # updates keep the order of a loop over the windows i, so every
             # entry sums its contributions in that order
             m = n - k
-            r1 = w * (2.0 / s_k1)
-            rk = w * (1.0 / s_k)
+            r1 = w * (2.0 / sums[k + 1])
+            rk = w * (1.0 / sums[k])
             diff = np.zeros((len(lengths), n + 1))
             diff[:, k + 1:k + 1 + m] -= r1
             diff[:, :m] += r1
@@ -383,10 +384,13 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
 
     A law with a certified minimum (``_certified_minimum``) returns its
     attaining pattern at once, unpolished and without numpy, with the closed
-    form as the value.  Otherwise every pattern seed and ``starts`` lognormal
-    starts are the rows of one batched ``_polish``, a numpy L-BFGS whose rows
-    run as if alone, and the value is an upper bound for the infimum.
+    form as the value.  Otherwise every pattern seed and ``starts`` smooth starts,
+    each n ``lognormvariate(0, 1)`` draws of ``random.Random(seed)``, are the rows
+    of one batched ``_polish``, a numpy L-BFGS whose rows run as if alone, and the
+    value is an upper bound for the infimum.
     """
+    if not all(isinstance(v, int) and v >= 0 for v in (starts, seed)):
+        raise ValueError(f"starts and seed must be nonnegative integers, got {starts!r}, {seed!r}")
     certificate = _certified_minimum(problem)
     if certificate is not None:
         value, pattern = certificate
@@ -396,10 +400,10 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
                          certified="block-sum AM-GM bound")
 
     import numpy as np
-    rng = np.random.default_rng(seed)
     tags, seeds = map(list, zip(*_pattern_seeds(problem)))
     tags += [f"smooth-start-{s}" for s in range(starts)]
-    stack = np.vstack(seeds + [rng.lognormal(mean=0.0, sigma=1.0, size=(starts, problem.n))])
+    draw = random.Random(seed).lognormvariate
+    stack = np.array(seeds + [[draw(0.0, 1.0) for _ in range(problem.n)] for _ in range(starts)])
     values, args, traces = _polish(problem, stack)
     best_val, best_arg, best_tag, best_start = math.inf, None, None, None
     for tag, val, arg, start in zip(tags, values, args, stack):

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import bvgamma
-from bvgamma import bounds, energy, minprob
+from bvgamma import bounds, energy, minprob, stepfn
 from bvgamma.cli import _emit_rows, delta_sweep, main, parse_law_spec
 from bvgamma.laws import (
     AffineThetaLaw,
@@ -25,6 +25,7 @@ from bvgamma.laws import (
     PiecewiseConstantLaw,
     QuadraticHeadLaw,
 )
+from bvgamma.stepfn import StepFunction
 
 
 @pytest.fixture
@@ -95,9 +96,12 @@ class TestLazyLoading:
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
 
     def test_array_commands_load_numpy(self):
-        assert _loaded_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
-                              "--starts", "2"]) == {
+        # the smooth starts are drawn from Python's random, so numpy.random stays unloaded
+        modules = _modules_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
+                                  "--starts", "2"])
+        assert {m for m in modules if m == "numpy" or m.startswith("bvgamma.")} == {
             "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
+        assert "numpy.random" not in modules
 
     def test_energy_pointwise_loads_neither_stepfn_nor_minprob(self):
         loaded = _loaded_after(["energy", "pointwise", "--law", "theta", "--deltas", "1e-1"])
@@ -141,8 +145,10 @@ class TestLazyLoading:
 
     @pytest.mark.parametrize("spec", ["psi:2", "pca:[0,0,1,0.5,0.25]"])
     def test_searched_problems_load_numpy(self, spec):
-        assert _loaded_after(["minprob", "--law", spec, "--n", "12", "--starts", "2"]) == {
+        modules = _modules_after(["minprob", "--law", spec, "--n", "12", "--starts", "2"])
+        assert {m for m in modules if m == "numpy" or m.startswith("bvgamma.")} == {
             "bvgamma.cli", "bvgamma.laws", "bvgamma.minprob", "numpy"}
+        assert "numpy.random" not in modules
 
     def test_verify_telescope_loads_minprob_only(self):
         # the suite draws from Python's random and sums its windows in Python
@@ -471,6 +477,24 @@ class TestMinprobCommand:
             assert row["value"] == pytest.approx(value, rel=1e-12, abs=0)
 
 
+def _identity(u):
+    return u
+
+
+def _segment_one_level_low(u, delta):
+    """segment, but a value on the lattice snaps one level below itself."""
+    return StepFunction(u.breakpoints, [delta * (math.ceil(v / delta) - 1) for v in u.values])
+
+
+def _segment_top_merged(u, delta, segment=stepfn.segment):
+    """segment, then its top level merged into the level below; the default binds the
+    real segment before a test patches it."""
+    s = segment(u, delta)
+    top = max(s.values)
+    below = max((v for v in s.values if v < top), default=top - delta)
+    return StepFunction(s.breakpoints, [below if v == top else v for v in s.values])
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,count", [
         ("telescope", 300), ("rearrange", 60), ("domination", 2000), ("chain", 40),
@@ -497,6 +521,24 @@ class TestVerifyCommand:
                                       "--tolerance", "1e-10"])
         assert result.exit_code == 2
         assert "--tolerance" in result.output
+
+    # broken operators that lower no energy along the chain: each suite also checks
+    # the operator's own properties, and a violation is a finite negative margin
+    @pytest.mark.parametrize("suite,operator,fault,prop", [
+        ("rearrange", "rearrange", _identity, "rearrange: nondecreasing"),
+        ("chain", "rearrange", _identity, "rearrange: nondecreasing"),
+        ("chain", "segment", _segment_one_level_low, "segment: above tu - delta"),
+        ("chain", "segment", _segment_top_merged, "segment: above tu - delta"),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_broken_operator_fails_its_suite(self, runner, monkeypatch, suite, operator,
+                                             fault, prop):
+        monkeypatch.setattr(stepfn, operator, fault)
+        result = runner.invoke(main, ["--json", "verify", suite, "--count", "200",
+                                      "--seed", "1"])
+        assert result.exit_code == 1, result.output
+        doc = json.loads(result.output)
+        assert -math.inf < doc["min_margin"] <= -0.5
+        assert doc["witness"]["property"] == prop
 
 
 @pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8"],

@@ -579,6 +579,39 @@ class TestMinimize:
             [value] * 2, [r[2] for r in rows], [trace] * 2))
         assert minimize(pb, starts=0).winning_seed == "one-zero"
 
+    @pytest.mark.parametrize("law", [ModelLaw(2), PackagedDyadicLaw((1, 1))], ids=repr)
+    @pytest.mark.parametrize("kwargs", [{"starts": -1}, {"seed": -1}, {"starts": 1.5},
+                                        {"seed": 1.5}, {"seed": "1"}], ids=repr)
+    def test_rejects_a_negative_or_non_integer_starts_or_seed(self, law, kwargs):
+        # ModelLaw(2) returns its certificate and psi:2 searches: both paths check
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            minimize(MinProblem(n=8, law=law), **{"starts": 2, "seed": 0, **kwargs})
+
+    def test_smooth_starts_are_random_lognormvariate_draws(self, monkeypatch):
+        stacks = []
+        polish = minprob._polish
+        monkeypatch.setattr(minprob, "_polish", lambda pb, stack: stacks.append(stack)
+                            or polish(pb, stack))
+        pb = MinProblem(n=9, law=PackagedDyadicLaw((1, 1)))
+        res = minimize(pb, starts=5, seed=7)
+        seeds = [seed for _, seed in minprob._pattern_seeds(pb)]
+        rng = random.Random(7)
+        starts = [[rng.lognormvariate(0.0, 1.0) for _ in range(9)] for _ in range(5)]
+        (stack,) = stacks
+        assert stack.shape == (len(seeds) + 5, 9)
+        assert stack.tobytes() == np.array(seeds + starts).tobytes()
+        assert [tag for tag, _ in res.traces][len(seeds):] == [
+            f"smooth-start-{s}" for s in range(5)]
+
+    def test_rows_sum_each_window_size_once(self, monkeypatch):
+        # psi:2 has steps 1, 2 and 3, so it reads window sizes 1 to 4
+        calls = []
+        sums = minprob.window_sums
+        monkeypatch.setattr(minprob, "window_sums", lambda l, k: calls.append(k) or sums(l, k))
+        pb = MinProblem(n=8, law=PackagedDyadicLaw((1, 1)))
+        pb._rows(np.ones((3, 8)))
+        assert sorted(calls) == [1, 2, 3, 4]
+
     def test_uncertified_law_polishes_every_start(self, monkeypatch):
         rows = []
         polish = minprob._polish
