@@ -12,7 +12,7 @@ from importlib import import_module
 _EXPORTS = {
     "laws": ("AdmissibilityReport", "AffineThetaLaw", "DyadicAffineLaw", "InteractionLaw",
              "ModelLaw", "PackagedDyadicLaw", "PiecewiseConstantLaw", "QuadraticHeadLaw",
-             "ScaledLaw", "TabulatedLaw", "check_admissible", "phi_eps", "rescale"),
+             "ScaledLaw", "TabulatedLaw", "check_admissible", "phi_eps"),
     "stepfn": ("StepFunction", "gaps", "oscillation", "rearrange", "segment",
                "staircase_from_gaps", "total_variation", "truncate"),
     "energy": ("EnergyResult", "geometric_constant", "hostility", "lambda_quad",
@@ -20,7 +20,7 @@ _EXPORTS = {
     "minprob": ("MinProblem", "MinResult", "in_domain", "log_cost", "minimize", "power_cost",
                 "telescopic_margin", "window_sums"),
     "bounds": ("BoundReport", "counterexample_table", "gamma_liminf_factor",
-               "harmonic_number", "psi_bound", "psi_law", "theta_bound", "zeta_bound"),
+               "harmonic_number", "psi_bound", "theta_bound", "zeta_bound"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

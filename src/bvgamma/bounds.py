@@ -26,7 +26,6 @@ from .laws import (
 __all__ = [
     "BoundReport",
     "gamma_liminf_factor",
-    "psi_law",
     "psi_bound",
     "theta_bound",
     "zeta_bound",
@@ -71,14 +70,12 @@ def _harmonic_fraction(n: int) -> Fraction:
     return Fraction(*terms[0])
 
 
-def harmonic_number(n: int, exact: bool = False):
-    """Sum of 1/k for k = 1..n; exact rational on request (small n only).
+def harmonic_number(n: int) -> float:
+    """Sum of 1/k for k = 1..n.
 
     Past n = 4095 it is the Euler-Maclaurin expansion ln n + gamma + 1/(2n) - 1/(12n^2)
     + 1/(120n^4) - 1/(252n^6), whose truncation error is below 1e-30 there.
     """
-    if exact:
-        return _harmonic_fraction(n)
     if n <= 4095:
         return math.fsum(1.0 / k for k in range(1, n + 1))
     inv2 = 1.0 / n ** 2
@@ -131,11 +128,6 @@ def gamma_liminf_factor(law, n_max: int = 16, starts: int = 16, seed: int = 0):
     if analytic is not None:
         return max(analytic, empirical), chain
     return empirical, chain
-
-
-def psi_law(m: int) -> PackagedDyadicLaw:
-    """Dyadic law with unit weight in every package up to m."""
-    return PackagedDyadicLaw(packages=(1,) * m)
 
 
 def psi_bound(m: int) -> BoundReport:

@@ -99,14 +99,14 @@ def _fmt(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
-def _emit_rows(header, rows, as_json):
-    if as_json:
-        docs = [dict(zip(header, row)) for row in rows]
-        click.echo(json.dumps(docs, indent=2))
-    else:
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(_fmt(x) for x in row))
+def _emit(ctx, doc, lines):
+    """The one stdout print: ``doc`` as JSON under ``--json``, else the text ``lines``."""
+    click.echo(json.dumps(doc, indent=2, default=str) if ctx.obj["json"] else "\n".join(lines))
+
+
+def _emit_rows(ctx, header, rows):
+    _emit(ctx, [dict(zip(header, row)) for row in rows],
+          [",".join(header), *(",".join(map(_fmt, row)) for row in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,37 +137,26 @@ def cmd_law(ctx, spec_text, report, probe):
     """Evaluate a law, its scale factor and its admissibility report."""
     from .laws import check_admissible
     law = parse_law_spec(spec_text)
-    as_json = ctx.obj["json"]
 
     if probe:
         if any(math.isnan(t) for t in probe):
             raise click.BadParameter("must be a number, got nan", param_hint="--probe")
-        rows = [(t, law(t)) for t in probe]
-        _emit_rows(["t", "value"], rows, as_json)
+        _emit_rows(ctx, ["t", "value"], [(t, law(t)) for t in probe])
         return
 
-    doc = {}
+    doc, lines = {}, []
     if report in ("N", "all"):
-        exact = law.scale_factor_exact()
-        doc["scale_factor"] = law.scale_factor()
+        exact, value = law.scale_factor_exact(), law.scale_factor()
+        doc["scale_factor"] = value
         doc["scale_factor_exact"] = None if exact is None else str(exact)
+        lines.append(f"N = {_fmt(value)}" if exact is None else f"N = {exact} = {_fmt(value)}")
     if report in ("admissible", "all"):
         adm = check_admissible(law)
         doc["admissible"] = adm.ok
         doc["admissible_detail"] = adm.summary().splitlines()
-
-    if as_json:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        if "scale_factor" in doc:
-            if doc["scale_factor_exact"] is not None:
-                click.echo(f"N = {doc['scale_factor_exact']} = {_fmt(doc['scale_factor'])}")
-            else:
-                click.echo(f"N = {_fmt(doc['scale_factor'])}")
-        if "admissible" in doc:
-            for line in doc["admissible_detail"]:
-                click.echo(line)
-    if "admissible" in doc and not doc["admissible"]:
+        lines += doc["admissible_detail"]
+    _emit(ctx, doc, lines)
+    if not doc.get("admissible", True):
         sys.exit(1)
 
 
@@ -212,7 +201,7 @@ def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     header = ["n", "value", "value_per_n", "winning_seed"]
     if dump_minimizer:
         header.append("minimizer")
-    _emit_rows(header, rows, ctx.obj["json"])
+    _emit_rows(ctx, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +232,9 @@ def cmd_verify(ctx, suite, count, seed):
     ok = worst >= -_TOLERANCE
     if not ok:
         doc["witness"] = witness
-    if ctx.obj["json"]:
-        click.echo(json.dumps(doc, indent=2, default=str))
-    else:
-        click.echo(f"suite={suite} count={count} seed={seed} min_margin={_fmt(worst)}")
-        if not ok:
-            click.echo(f"witness: {json.dumps(witness, default=str)}", err=True)
+    _emit(ctx, doc, [f"suite={suite} count={count} seed={seed} min_margin={_fmt(worst)}"])
+    if not ok and not ctx.obj["json"]:
+        click.echo(f"witness: {json.dumps(witness, default=str)}", err=True)
     sys.exit(0 if ok else 1)
 
 
@@ -268,11 +254,7 @@ def _emit_reports(ctx, build):
     except AssertionError as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
-    if ctx.obj["json"]:
-        click.echo(json.dumps([r.to_json() for r in reports], indent=2))
-    else:
-        for r in reports:
-            click.echo(r.table_row())
+    _emit(ctx, [r.to_json() for r in reports], [r.table_row() for r in reports])
 
 
 @cmd_bounds.command("psi")
@@ -314,11 +296,7 @@ def bounds_counterexample(ctx, eps):
         raise click.BadParameter(f"must be in (0, 1], got {eps}", param_hint="--eps")
     from .bounds import counterexample_table
     doc = counterexample_table(eps=eps)
-    if ctx.obj["json"]:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        for key, val in doc.items():
-            click.echo(f"{key}={_fmt(val)}")
+    _emit(ctx, doc, [f"{key}={_fmt(val)}" for key, val in doc.items()])
 
 
 @cmd_bounds.command("factor")
@@ -333,13 +311,8 @@ def bounds_factor(ctx, spec_text, n_max, starts, seed):
     law = parse_law_spec(spec_text)
     _min_problems(law, [n_max], "--n-max", starts)  # the largest problem gamma_liminf_factor builds
     factor, chain = gamma_liminf_factor(law, n_max=n_max, starts=starts, seed=seed)
-    doc = {"factor": factor, "chain": [[s, c] for s, c in chain]}
-    if ctx.obj["json"]:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        click.echo(f"factor={_fmt(factor)}")
-        for s, c in chain:
-            click.echo(f"  {s}: {_fmt(c)}")
+    _emit(ctx, {"factor": factor, "chain": [[s, c] for s, c in chain]},
+          [f"factor={_fmt(factor)}", *(f"  {s}: {_fmt(c)}" for s, c in chain)])
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +361,7 @@ def energy_pointwise(ctx, spec_text, profile, deltas, tol):
         res = lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
         rows.append([delta, res.value, res.method, res.error_estimate,
                      res.value / scale])
-    _emit_rows(["delta", "value", "method", "error_estimate", "ratio"],
-               rows, ctx.obj["json"])
+    _emit_rows(ctx, ["delta", "value", "method", "error_estimate", "ratio"], rows)
 
 
 @cmd_energy.command("step")
@@ -415,7 +387,7 @@ def energy_step(ctx, spec_text, u_path, deltas):
     for delta in deltas:
         res = lambda_step(law, u, delta)
         rows.append([delta, res.value, res.method, res.error_estimate])
-    _emit_rows(["delta", "value", "method", "error_estimate"], rows, ctx.obj["json"])
+    _emit_rows(ctx, ["delta", "value", "method", "error_estimate"], rows)
 
 
 @cmd_energy.command("gd")
@@ -428,7 +400,7 @@ def energy_gd(ctx, dmax):
     for d in range(1, dmax + 1):
         res = geometric_constant(d)
         rows.append([d, res.value, res.method, res.error_estimate])
-    _emit_rows(["d", "value", "method", "error_estimate"], rows, ctx.obj["json"])
+    _emit_rows(ctx, ["d", "value", "method", "error_estimate"], rows)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __all__ = [
     "TabulatedLaw",
     "AdmissibilityReport",
     "check_admissible",
-    "rescale",
     "phi_eps",
 ]
 
@@ -323,11 +322,6 @@ class TabulatedLaw(InteractionLaw):
         if self.tail == "extrapolate" and slopes[-1]:
             densities.append((ts[-1], math.inf, slopes[-1], 0.0))
         return (), tuple(densities)
-
-
-def rescale(law: InteractionLaw, alpha: float, beta: float) -> ScaledLaw:
-    """Law t -> alpha * law(beta * t)."""
-    return ScaledLaw(inner=law, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)

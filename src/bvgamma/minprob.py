@@ -389,7 +389,7 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     of one batched ``_polish``, a numpy L-BFGS whose rows run as if alone, and the
     value is an upper bound for the infimum.
     """
-    if not all(isinstance(v, int) and v >= 0 for v in (starts, seed)):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (starts, seed)):
         raise ValueError(f"starts and seed must be nonnegative integers, got {starts!r}, {seed!r}")
     certificate = _certified_minimum(problem)
     if certificate is not None:

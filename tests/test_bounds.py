@@ -10,12 +10,12 @@ from scipy import integrate
 
 from bvgamma import bounds
 from bvgamma.bounds import (
+    _harmonic_fraction,
     counterexample_table,
     domination_margins,
     gamma_liminf_factor,
     harmonic_number,
     psi_bound,
-    psi_law,
     single_package_law,
     theta_bound,
     zeta_bound,
@@ -26,26 +26,26 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    ScaledLaw,
     _gauss_legendre,
     _mass_below,
     phi_eps,
-    rescale,
 )
 
 
 class TestHarmonic:
     def test_exact_values(self):
-        assert harmonic_number(3, exact=True) == Fraction(11, 6)
-        assert harmonic_number(1, exact=True) == 1
+        assert _harmonic_fraction(3) == Fraction(11, 6)
+        assert _harmonic_fraction(1) == 1
 
     def test_float_matches_exact(self):
         assert harmonic_number(100) == pytest.approx(
-            float(harmonic_number(100, exact=True)), rel=1e-14)
+            float(_harmonic_fraction(100)), rel=1e-14)
 
     def test_binary_splitting_equals_plain_sum(self):
         for n in [*range(301), 4095]:
             plain = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-            assert harmonic_number(n, exact=True) == plain
+            assert _harmonic_fraction(n) == plain
 
     @pytest.mark.parametrize("n", [4095, 4096, 8191, 2 ** 16 - 1, 2 ** 20 - 1])
     def test_euler_maclaurin_matches_fsum(self, n):
@@ -87,7 +87,7 @@ class TestPsiBound:
     def test_scale_factor_is_law_scale_factor(self):
         for m in (1, 2, 3, 5):
             assert psi_bound(m).scale_factor == pytest.approx(
-                psi_law(m).scale_factor(), rel=1e-14)
+                PackagedDyadicLaw((1,) * m).scale_factor(), rel=1e-14)
 
 
 class TestThetaBound:
@@ -277,7 +277,7 @@ class TestGammaLiminfFactor:
 
     def test_psi_m_at_least_m_log2(self):
         for m in (1, 2, 3):
-            factor, _ = gamma_liminf_factor(psi_law(m), n_max=12, starts=4)
+            factor, _ = gamma_liminf_factor(PackagedDyadicLaw((1,) * m), n_max=12, starts=4)
             assert factor >= m * math.log(2) - 1e-12
 
     def test_single_package_at_least_log2(self):
@@ -290,7 +290,7 @@ class TestGammaLiminfFactor:
         solve, sizes = minprob.minimize, []
         monkeypatch.setattr(minprob, "minimize",
                             lambda problem, **kw: sizes.append(problem.n) or solve(problem, **kw))
-        factor, chain = gamma_liminf_factor(psi_law(4), n_max=16, starts=0)
+        factor, chain = gamma_liminf_factor(PackagedDyadicLaw((1,) * 4), n_max=16, starts=0)
         assert sizes == [16]
         assert [s for s, _ in chain] == ["package-telescopic-bound", "empirical-minimum-proxy"]
         assert dict(chain)["package-telescopic-bound"] == 4 * math.log(2)
@@ -307,7 +307,7 @@ class TestGammaLiminfFactor:
         base = ModelLaw(1)
         factor, _ = gamma_liminf_factor(base, n_max=10, starts=4)
         ratio = factor / base.scale_factor()
-        scaled = rescale(base, 2.0, 1.0)
+        scaled = ScaledLaw(base, 2.0, 1.0)
         # vertical scaling multiplies every weight, hence the analytic bound
         doubled = PiecewiseConstantLaw((2.0,))
         factor2, _ = gamma_liminf_factor(doubled, n_max=10, starts=4)
@@ -329,7 +329,7 @@ class TestCounterexample:
         law = phi_eps(0.01)
         t = np.linspace(0.01, 1.0, 100).tolist()
         assert all(law(x) > 0 for x in t)
-        assert all(psi_law(2)(x) == 0 for x in t)
+        assert all(PackagedDyadicLaw((1, 1))(x) == 0 for x in t)
 
     @pytest.mark.parametrize("eps", [0.01, 0.5, 1.0])
     def test_domination_is_read_from_the_measures(self, eps, monkeypatch):

@@ -9,13 +9,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import bvgamma
-from bvgamma import bounds, energy, minprob, stepfn
+from bvgamma import bounds, cli, energy, minprob, stepfn
 from bvgamma.cli import _emit_rows, delta_sweep, main, parse_law_spec
 from bvgamma.laws import (
     AffineThetaLaw,
@@ -24,6 +25,7 @@ from bvgamma.laws import (
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
     QuadraticHeadLaw,
+    TabulatedLaw,
 )
 from bvgamma.stepfn import StepFunction
 
@@ -31,6 +33,17 @@ from bvgamma.stepfn import StepFunction
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _run(capsys, *args):
+    """Exit code, stdout and stderr of one command, run in this process."""
+    try:
+        main(list(args), standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def _modules_after(*commands, prelude="from bvgamma.cli import main"):
@@ -166,7 +179,7 @@ class TestLazyLoading:
         assert not loaded & {"bvgamma.energy", "bvgamma.stepfn"}
 
     def test_exports_are_their_defining_modules_objects(self):
-        assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 42
+        assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 40
         for name in bvgamma.__all__:
             obj = getattr(bvgamma, name)
             assert obj.__module__.startswith("bvgamma.")
@@ -387,6 +400,19 @@ class TestLawCommand:
         assert doc["scale_factor_exact"] == "1/2"
         assert doc["admissible"] is True
 
+    def test_inadmissible_law_prints_its_report_then_exits_1(self, capsys, monkeypatch):
+        # an extrapolated tail rises without bound, so the law is not bounded
+        law = TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), tail="extrapolate")
+        monkeypatch.setattr(cli, "parse_law_spec", lambda spec: law)
+        code, out, err = _run(capsys, "--json", "law", "--spec", "tab")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["admissible"] is False
+        assert doc["admissible_detail"][2].startswith("bounded: fail")
+        code, out, err = _run(capsys, "law", "--spec", "tab")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [f"N = {doc['scale_factor']:.17g}", *doc["admissible_detail"]]
+
     def test_missing_spec_exits_2(self, runner):
         result = runner.invoke(main, ["law"])
         assert result.exit_code == 2
@@ -540,6 +566,20 @@ class TestVerifyCommand:
         assert -math.inf < doc["min_margin"] <= -0.5
         assert doc["witness"]["property"] == prop
 
+    def test_failed_margin_prints_one_line_and_the_witness_on_stderr(self, capsys,
+                                                                       monkeypatch):
+        monkeypatch.setattr(stepfn, "rearrange", _identity)
+        args = ("verify", "rearrange", "--count", "200", "--seed", "1")
+        code, out, err = _run(capsys, "--json", *args)
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        code, out, err = _run(capsys, *args)
+        assert code == 1
+        assert out == f"suite=rearrange count=200 seed=1 min_margin={doc['min_margin']:.17g}\n"
+        prefix, _, witness = err.partition(" ")
+        assert prefix == "witness:" and err.count("\n") == 1
+        assert json.loads(witness) == doc["witness"]
+
 
 @pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8"],
                                   ["verify", "telescope", "--count", "5"],
@@ -588,8 +628,60 @@ def test_seeded_suites_reproduce_recorded_output(runner, suite, count, seed, mar
 
 
 def test_emit_rows_keeps_the_sign_of_infinity(capsys):
-    _emit_rows(["name", "min_margin"], [["a", -math.inf], ["b", math.inf]], as_json=False)
+    ctx = SimpleNamespace(obj={"json": False})
+    _emit_rows(ctx, ["name", "min_margin"], [["a", -math.inf], ["b", math.inf]])
     assert capsys.readouterr().out.splitlines() == ["name,min_margin", "a,-inf", "b,inf"]
+
+
+def _value(text):
+    """A printed CSV or text value read back: a bool, a number, or the text itself."""
+    if text in ("True", "False"):
+        return text == "True"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class TestTextMatchesJson:
+    """Each output shape prints the same values as text and as JSON."""
+
+    def _both(self, capsys, *args):
+        code, text, _ = _run(capsys, *args)
+        code_json, doc, _ = _run(capsys, "--json", *args)
+        assert code == code_json == 0
+        return text.splitlines(), json.loads(doc)
+
+    @pytest.mark.parametrize("args", [
+        ["law", "--spec", "theta", "--probe", "0.5", "--probe", "1.5"],
+        ["energy", "gd", "--dmax", "3"],
+        ["minprob", "--law", "phi:3", "--n", "8..10"],
+    ], ids=" ".join)
+    def test_rows(self, capsys, args):
+        lines, docs = self._both(capsys, *args)
+        header, *rows = [line.split(",") for line in lines]
+        assert docs == [dict(zip(header, map(_value, row))) for row in rows]
+
+    def test_reports(self, capsys):
+        lines, docs = self._both(capsys, "bounds", "psi", "--m", "1..3")
+        assert [line.split() for line in lines] == [
+            [d["law"], f"N={d['scale_factor']:.9g}", f"K>={d['k_lower']:.9g}"] for d in docs]
+
+    def test_counterexample_doc(self, capsys):
+        lines, doc = self._both(capsys, "bounds", "counterexample")
+        assert doc == {key: _value(val) for key, val in (ln.split("=", 1) for ln in lines)}
+
+    def test_factor_doc(self, capsys):
+        lines, doc = self._both(capsys, "bounds", "factor", "--law", "psi:2", "--n-max", "8",
+                                "--starts", "0")
+        assert lines[0] == f"factor={doc['factor']:.17g}"
+        assert [ln.strip().split(": ") for ln in lines[1:]] == [
+            [s, format(c, ".17g")] for s, c in doc["chain"]]
+
+    def test_law_doc(self, capsys):
+        lines, doc = self._both(capsys, "law", "--spec", "psi:2")
+        assert lines == [f"N = {doc['scale_factor_exact']} = {doc['scale_factor']:.17g}",
+                         *doc["admissible_detail"]]
 
 
 class TestBoundsCommand:
@@ -611,6 +703,16 @@ class TestBoundsCommand:
         result = runner.invoke(main, ["--json", "bounds", "zeta", "--f", str(path)])
         assert result.exit_code == 0
         assert json.loads(result.output)[0]["k_lower"] == 1.0
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_failed_certificate_prints_only_its_message(self, capsys, monkeypatch, fmt):
+        # four times the package weight lifts the minorant above the ramp
+        monkeypatch.setattr(bounds, "single_package_law",
+                            lambda m: PackagedDyadicLaw((0,) * (m - 1) + (4,)))
+        code, out, err = _run(capsys, *fmt, "bounds", "theta")
+        assert (code, out) == (1, "")
+        assert err.startswith("domination failed for package 2 at t=")
+        assert err.count("\n") == 1
 
     def test_counterexample(self, runner):
         result = runner.invoke(main, ["--json", "bounds", "counterexample"])

@@ -14,10 +14,10 @@ from bvgamma.laws import (
     ModelLaw,
     PackagedDyadicLaw,
     PiecewiseConstantLaw,
+    ScaledLaw,
     TabulatedLaw,
     check_admissible,
     phi_eps,
-    rescale,
 )
 from bvgamma.minprob import MinProblem
 
@@ -194,7 +194,7 @@ class TestScaleFactor:
         (3, 1, Fraction(11, 2)), (1, 0.5, Fraction(11, 12)), (2.0, 0.25, Fraction(11, 12))])
     def test_rescaled_psi2_scales_with_alpha_beta(self, alpha, beta, want):
         # alpha * beta * 11/6, and a vertical rescaling is the weight-scaled step law
-        law = rescale(PackagedDyadicLaw((1, 1)), alpha, beta)
+        law = ScaledLaw(PackagedDyadicLaw((1, 1)), alpha, beta)
         assert want == Fraction(alpha) * Fraction(beta) * Fraction(11, 6)
         assert law.scale_factor_exact() == want
         assert law.scale_factor() == float(want)
@@ -206,7 +206,7 @@ class TestScaleFactor:
         DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
         phi_eps(0.01),
         TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0)),
-        rescale(AffineThetaLaw(), 2, 1),
+        ScaledLaw(AffineThetaLaw(), 2, 1),
     ], ids=lambda law: type(law).__name__)
     def test_density_laws_have_no_exact_value(self, law):
         assert law.scale_factor_exact() is None
@@ -222,7 +222,7 @@ class TestScaleFactor:
         assert law.scale_factor() == pytest.approx(oracle, rel=1e-9)
 
     def test_rescaled_quadrature_oracle(self):
-        law = rescale(ModelLaw(1), 2.0, 3.0)
+        law = ScaledLaw(ModelLaw(1), 2.0, 3.0)
         assert law.scale_factor() == pytest.approx(6.0, abs=1e-12)
         oracle = quad_scale_factor(law, nodes=(1.0 / 3.0, 1.0))
         assert law.scale_factor() == pytest.approx(oracle, rel=1e-9)
@@ -231,7 +231,7 @@ class TestScaleFactor:
     @settings(max_examples=50, deadline=None)
     def test_scaling_law(self, alpha, beta):
         base = PiecewiseConstantLaw((1, 2))
-        scaled = rescale(base, alpha, beta)
+        scaled = ScaledLaw(base, alpha, beta)
         assert scaled.scale_factor() == pytest.approx(
             alpha * beta * base.scale_factor(), rel=1e-12)
 
@@ -270,9 +270,9 @@ _over_measure_laws = pytest.mark.parametrize("law", [
     PackagedDyadicLaw((1, 1)),
     AffineThetaLaw(),
     DyadicAffineLaw(nodes=((-2, 0.1), (0, 0.5), (2, 1.5))),
-    rescale(PackagedDyadicLaw((1, 1)), 2.0, 1.5),
-    rescale(AffineThetaLaw(), 0.5, 3.0),
-    rescale(phi_eps(0.1), 2.0, 0.5),
+    ScaledLaw(PackagedDyadicLaw((1, 1)), 2.0, 1.5),
+    ScaledLaw(AffineThetaLaw(), 0.5, 3.0),
+    ScaledLaw(phi_eps(0.1), 2.0, 0.5),
     phi_eps(0.01),
     TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 1.0), origin_power=1.5),
     TabulatedLaw(grid=(0.5, 1.0, 2.0), samples=(0.2, 0.5, 0.4), tail="extrapolate"),
@@ -358,19 +358,19 @@ class TestClosedForms:
     ], ids=lambda x: type(x).__name__ if isinstance(x, InteractionLaw) else str(x))
     def test_scaled(self, inner, alpha, beta):
         t = _CLOSED_FORM_T
-        np.testing.assert_array_max_ulp(_at(rescale(inner, alpha, beta), t),
+        np.testing.assert_array_max_ulp(_at(ScaledLaw(inner, alpha, beta), t),
                                         alpha * _at(inner, beta * t), 4)
 
 
 class TestRescale:
     def test_model_k_as_rescaled_phi1(self):
         k = 4
-        law = rescale(ModelLaw(1), 1.0, 1.0 / k)
+        law = ScaledLaw(ModelLaw(1), 1.0, 1.0 / k)
         assert law(k + 0.5) == 1.0
         assert law(k - 0.5) == 0.0
 
     def test_identity(self):
-        law = rescale(AffineThetaLaw(), 1.0, 1.0)
+        law = ScaledLaw(AffineThetaLaw(), 1.0, 1.0)
         t = np.linspace(0, 4, 97)
         assert np.array_equal(_at(law, t), _at(AffineThetaLaw(), t))
 

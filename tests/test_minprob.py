@@ -581,9 +581,11 @@ class TestMinimize:
 
     @pytest.mark.parametrize("law", [ModelLaw(2), PackagedDyadicLaw((1, 1))], ids=repr)
     @pytest.mark.parametrize("kwargs", [{"starts": -1}, {"seed": -1}, {"starts": 1.5},
-                                        {"seed": 1.5}, {"seed": "1"}], ids=repr)
+                                        {"seed": 1.5}, {"seed": "1"}, {"starts": True},
+                                        {"seed": False}], ids=repr)
     def test_rejects_a_negative_or_non_integer_starts_or_seed(self, law, kwargs):
-        # ModelLaw(2) returns its certificate and psi:2 searches: both paths check
+        # ModelLaw(2) returns its certificate and psi:2 searches: both paths check; a
+        # bool is an int to Python, but True as a start count is a caller's mistake
         with pytest.raises(ValueError, match="nonnegative integers"):
             minimize(MinProblem(n=8, law=law), **{"starts": 2, "seed": 0, **kwargs})
 
