@@ -28,6 +28,38 @@ __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
 
+class _Record:
+    """A record: its repr names the class and each of its ``_fields``, and two
+    instances of one class are equal when their fields are.  Mutable, so unhashable."""
+
+    _fields = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that hashes its fields and refuses attribute assignment, so its
+    ``__init__`` writes ``self.__dict__``."""
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def __getattr__(name):
     if name in _EXPORTS:
         return import_module(f"{__name__}.{name}")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _Record
 from .laws import (
     AffineThetaLaw,
     DyadicAffineLaw,
@@ -35,14 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class BoundReport:
-    law_id: str
-    scale_factor: float
-    k_lower: float
-    chain: list = field(default_factory=list)  # (statement id, constant)
-    dimension_note: str = "dimension-uniform"
-    scale_factor_exact: Fraction = None
+class BoundReport(_Record):
+    _fields = ("law_id", "scale_factor", "k_lower", "chain",  # (statement id, constant)
+               "dimension_note", "scale_factor_exact")
+
+    def __init__(self, law_id: str, scale_factor: float, k_lower: float,
+                 chain: list | None = None, dimension_note: str = "dimension-uniform",
+                 scale_factor_exact: Fraction | None = None):
+        self.__dict__.update(law_id=law_id, scale_factor=scale_factor, k_lower=k_lower,
+                             chain=[] if chain is None else chain,
+                             dimension_note=dimension_note,
+                             scale_factor_exact=scale_factor_exact)
 
     def to_json(self) -> dict:
         return {
@@ -138,17 +141,9 @@ def psi_bound(m: int) -> BoundReport:
     exact = _harmonic_fraction(top) if m <= 12 else None
     scale = float(exact) if exact is not None else harmonic_number(top)
     k_lower = m * math.log(2.0) / scale
-    chain = [
-        ("package-telescopic-bound", m * math.log(2.0)),
-        ("harmonic-scale-factor", scale),
-    ]
-    return BoundReport(
-        law_id=f"psi:{m}",
-        scale_factor=scale,
-        scale_factor_exact=exact,
-        k_lower=k_lower,
-        chain=chain,
-    )
+    chain = [("package-telescopic-bound", m * math.log(2.0)), ("harmonic-scale-factor", scale)]
+    return BoundReport(law_id=f"psi:{m}", scale_factor=scale, scale_factor_exact=exact,
+                       k_lower=k_lower, chain=chain)
 
 
 def single_package_law(m: int) -> PackagedDyadicLaw:
@@ -220,12 +215,7 @@ def theta_bound() -> BoundReport:
               (2.0 ** (m - 1) - 1.0) / 2.0 ** (m - 1) * math.log(2.0))
              for m in _DOMINATION_PACKAGES]
     chain += [("scale-factor", math.log(2.0)), ("limit-of-package-chain", math.log(2.0))]
-    return BoundReport(
-        law_id="theta",
-        scale_factor=math.log(2.0),
-        k_lower=1.0,
-        chain=chain,
-    )
+    return BoundReport(law_id="theta", scale_factor=math.log(2.0), k_lower=1.0, chain=chain)
 
 
 def zeta_bound(law: DyadicAffineLaw) -> BoundReport:
@@ -264,18 +254,9 @@ def zeta_bound(law: DyadicAffineLaw) -> BoundReport:
         raise AssertionError(
             f"scale-factor series {n_series} disagrees with quadrature {n_quad}")
 
-    chain = [
-        ("ramp-series-representation", worst),
-        ("scale-factor-series", n_series),
-        ("scale-factor-quadrature", n_quad),
-        ("ramp-shape-factor", 1.0),
-    ]
-    return BoundReport(
-        law_id="zeta",
-        scale_factor=n_series,
-        k_lower=1.0,
-        chain=chain,
-    )
+    chain = [("ramp-series-representation", worst), ("scale-factor-series", n_series),
+             ("scale-factor-quadrature", n_quad), ("ramp-shape-factor", 1.0)]
+    return BoundReport(law_id="zeta", scale_factor=n_series, k_lower=1.0, chain=chain)
 
 
 def counterexample_table(eps: float = 0.01) -> dict:

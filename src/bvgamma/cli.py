@@ -104,9 +104,15 @@ def _emit(ctx, doc, lines):
     click.echo(json.dumps(doc, indent=2, default=str) if ctx.obj["json"] else "\n".join(lines))
 
 
+def _cell(x) -> str:
+    """x as a CSV field, quoted as RFC 4180 asks when it holds a comma, quote or newline."""
+    s = _fmt(x)
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+
+
 def _emit_rows(ctx, header, rows):
     _emit(ctx, [dict(zip(header, row)) for row in rows],
-          [",".join(header), *(",".join(map(_fmt, row)) for row in rows)])
+          [",".join(header), *(",".join(map(_cell, row)) for row in rows)])
 
 
 # ---------------------------------------------------------------------------

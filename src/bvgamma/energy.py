@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _Frozen
 from .laws import InteractionLaw, ModelLaw, PackagedDyadicLaw, _gauss_legendre, _mass_below
 
 if TYPE_CHECKING:
@@ -29,11 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyResult:
-    value: float
-    method: str  # "exact" | "quadrature"
-    error_estimate: float = 0.0
+class EnergyResult(_Frozen):
+    _fields = ("value", "method", "error_estimate")  # method: "exact" | "quadrature"
+
+    def __init__(self, value: float, method: str, error_estimate: float = 0.0):
+        self.__dict__.update(value=value, method=method, error_estimate=error_estimate)
 
 
 def _snap(t: float) -> float:

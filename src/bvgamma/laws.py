@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Integral, Real
+
+from . import _Frozen, _Record
 
 __all__ = [
     "InteractionLaw",
@@ -47,6 +47,7 @@ __all__ = [
 
 def _as_fraction(x):
     """Exact rational view of x, or None if the conversion would be lossy."""
+    from fractions import Fraction
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float) and x == int(x):
@@ -109,6 +110,7 @@ class InteractionLaw:
         exact = [(_as_fraction(s), _as_fraction(w)) for s, w in atoms]
         if densities or any(fs is None or fw is None for fs, fw in exact):
             return None
+        from fractions import Fraction
         return sum((fw / fs for fs, fw in exact), Fraction(0))
 
     def threshold_measure(self) -> tuple:
@@ -126,7 +128,7 @@ class InteractionLaw:
         raise NotImplementedError
 
 
-class _StepWeightLaw(InteractionLaw):
+class _StepWeightLaw(InteractionLaw, _Frozen):
     """Nonnegative combination of step laws, read through ``steps``.
 
     ``steps`` holds the (threshold, weight) pairs with positive weight in
@@ -135,44 +137,37 @@ class _StepWeightLaw(InteractionLaw):
     lies below t, and exact weights give an exact scale factor.
     """
 
-    def _set_steps(self, steps):
-        object.__setattr__(self, "steps", tuple(steps))
-
     def threshold_measure(self) -> tuple:
         return self.steps, ()
 
 
-@dataclass(frozen=True)
 class ModelLaw(_StepWeightLaw):
     """Step law: 0 on [0, k], 1 on (k, +inf)."""
 
-    k: int = 1
+    _fields = ("k",)
 
     # perfbench's tracer wraps the __call__ in each law class's own __dict__, so
     # every class it names keeps this alias of the one evaluator; ROADMAP item 5's
     # tracer change removes these lines
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"step threshold must be a positive integer, got {self.k}")
-        self._set_steps([(self.k, 1)])
+    def __init__(self, k: int = 1):
+        if k < 1:
+            raise ValueError(f"step threshold must be a positive integer, got {k}")
+        self.__dict__.update(k=k, steps=((k, 1),))
 
 
-@dataclass(frozen=True)
 class PiecewiseConstantLaw(_StepWeightLaw):
     """Nonnegative combination of step laws with thresholds 1..m."""
 
-    weights: tuple
+    _fields = ("weights",)
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        w = _checked_weights(self.weights, "weight list", "weight")
-        object.__setattr__(self, "weights", w)
-        self._set_steps((k, x) for k, x in enumerate(w, start=1) if x > 0)
+    def __init__(self, weights: tuple):
+        w = _checked_weights(weights, "weight list", "weight")
+        self.__dict__.update(weights=w, steps=tuple((k, x) for k, x in enumerate(w, 1) if x > 0))
 
 
-@dataclass(frozen=True)
 class PackagedDyadicLaw(_StepWeightLaw):
     """Combination of step laws whose coefficients are equal in dyadic packages.
 
@@ -181,15 +176,15 @@ class PackagedDyadicLaw(_StepWeightLaw):
     factor passes Python's 4300-digit limit on int-to-str conversion.
     """
 
-    packages: tuple
+    _fields = ("packages",)
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        a = _checked_weights(self.packages, "package list", "package weight")
-        object.__setattr__(self, "packages", a)
+    def __init__(self, packages: tuple):
+        a = _checked_weights(packages, "package list", "package weight")
+        self.__dict__.update(packages=a)
         if len(a) > 13:
             raise ValueError(f"package depth must be at most 13, got {len(a)}")
-        self._set_steps(self.expand().steps)
+        self.__dict__.update(steps=self.expand().steps)
 
     def expand(self) -> PiecewiseConstantLaw:
         weights = []
@@ -198,8 +193,7 @@ class PackagedDyadicLaw(_StepWeightLaw):
         return PiecewiseConstantLaw(tuple(weights))
 
 
-@dataclass(frozen=True)
-class AffineThetaLaw(InteractionLaw):
+class AffineThetaLaw(InteractionLaw, _Frozen):
     """Affine ramp: 0 on [0,1], t-1 on [1,2], 1 on [2, +inf)."""
 
     __call__ = InteractionLaw.__call__
@@ -208,8 +202,7 @@ class AffineThetaLaw(InteractionLaw):
         return (), ((1.0, 2.0, 1.0, 0.0),)
 
 
-@dataclass(frozen=True)
-class DyadicAffineLaw(InteractionLaw):
+class DyadicAffineLaw(InteractionLaw, _Frozen):
     """Piecewise-affine law with nodes at powers of two.
 
     Node values come from a nondecreasing bounded sequence given as explicit
@@ -220,15 +213,15 @@ class DyadicAffineLaw(InteractionLaw):
     seq(z) at 2^z, and is affine on each [2^z, 2^(z+1)].
     """
 
-    nodes: tuple  # sorted tuple of (z, value) pairs
+    _fields = ("nodes",)  # nodes: sorted tuple of (z, value) pairs
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        for z, v in self.nodes:
+    def __init__(self, nodes: tuple):
+        for z, v in nodes:
             if isinstance(z, bool) or not isinstance(z, Integral):
                 raise TypeError(f"node index {z!r} of node [{z!r}, {v!r}] is not an integer")
-        pairs = tuple(sorted((int(z), float(v)) for z, v in self.nodes))
-        object.__setattr__(self, "nodes", pairs)
+        pairs = tuple(sorted((int(z), float(v)) for z, v in nodes))
+        self.__dict__.update(nodes=pairs)
         if not pairs:
             raise ValueError("node list must be nonempty")
         zs = [z for z, _ in pairs]
@@ -259,18 +252,16 @@ class DyadicAffineLaw(InteractionLaw):
                          for z, d in self.increments())
 
 
-@dataclass(frozen=True)
-class ScaledLaw(InteractionLaw):
+class ScaledLaw(InteractionLaw, _Frozen):
     """Vertical/horizontal rescaling: t -> alpha * inner(beta * t)."""
 
-    inner: InteractionLaw
-    alpha: float = 1.0
-    beta: float = 1.0
+    _fields = ("inner", "alpha", "beta")
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+    def __init__(self, inner: InteractionLaw, alpha: float = 1.0, beta: float = 1.0):
+        if not (alpha > 0 and beta > 0):
             raise ValueError("scaling constants must be positive")
+        self.__dict__.update(inner=inner, alpha=alpha, beta=beta)
 
     def threshold_measure(self) -> tuple:
         # the inner threshold s is the threshold s / beta, and ds = beta dr
@@ -280,8 +271,7 @@ class ScaledLaw(InteractionLaw):
                 tuple((s0 / b, s1 / b, a * c * b ** (p + 1.0), p) for s0, s1, c, p in densities))
 
 
-@dataclass(frozen=True)
-class TabulatedLaw(InteractionLaw):
+class TabulatedLaw(InteractionLaw, _Frozen):
     """Law given by samples on a positive grid.
 
     Between grid nodes the law is affine; below the first node it follows a
@@ -290,17 +280,14 @@ class TabulatedLaw(InteractionLaw):
     the last slope.
     """
 
-    grid: tuple
-    samples: tuple
-    origin_power: float = 2.0
-    tail: str = "constant"  # or "extrapolate"
+    _fields = ("grid", "samples", "origin_power", "tail")  # tail "constant" or "extrapolate"
     __call__ = InteractionLaw.__call__
 
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.grid)
-        vs = tuple(float(v) for v in self.samples)
-        object.__setattr__(self, "grid", ts)
-        object.__setattr__(self, "samples", vs)
+    def __init__(self, grid: tuple, samples: tuple, origin_power: float = 2.0,
+                 tail: str = "constant"):
+        ts = tuple(float(t) for t in grid)
+        vs = tuple(float(v) for v in samples)
+        self.__dict__.update(grid=ts, samples=vs, origin_power=origin_power, tail=tail)
         if len(ts) != len(vs) or len(ts) < 2:
             raise ValueError("need at least two (t, value) samples")
         if ts[0] <= 0:
@@ -324,16 +311,15 @@ class TabulatedLaw(InteractionLaw):
         return (), tuple(densities)
 
 
-@dataclass(frozen=True)
-class QuadraticHeadLaw(InteractionLaw):
+class QuadraticHeadLaw(InteractionLaw, _Frozen):
     """c*eps*t^2 on [0, 1] and c beyond, with c = 1/(1+eps) for a unit scale factor."""
 
-    eps: float
+    _fields = ("eps",)
 
-    def __post_init__(self):
-        if not (0 < self.eps <= 1):
+    def __init__(self, eps: float):
+        if not (0 < eps <= 1):
             raise ValueError("eps must lie in (0, 1]")
-        object.__setattr__(self, "_c", 1.0 / (1.0 + self.eps))
+        self.__dict__.update(eps=eps, _c=1.0 / (1.0 + eps))
 
     def threshold_measure(self) -> tuple:
         # c*eps*t^2 has the density 2*c*eps*s, and the jump from c*eps to c sits at 1
@@ -390,8 +376,7 @@ def _piece(density) -> str:
     return f"density on ({density[0]:g}, {density[1]:g})"
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(_Record):
     """Admissibility decided exactly from a law's threshold measure.
 
     Each witness names the atom or density piece that breaks its condition, and is
@@ -400,11 +385,14 @@ class AdmissibilityReport:
     fails.
     """
 
-    monotone_witness: str | None
-    quadratic_witness: str | None
-    bounded_witness: str | None
-    quadratic_coefficient: float
-    bound: float
+    _fields = ("monotone_witness", "quadratic_witness", "bounded_witness",
+               "quadratic_coefficient", "bound")
+
+    def __init__(self, monotone_witness: str | None, quadratic_witness: str | None,
+                 bounded_witness: str | None, quadratic_coefficient: float, bound: float):
+        self.__dict__.update(monotone_witness=monotone_witness,
+                             quadratic_witness=quadratic_witness, bounded_witness=bounded_witness,
+                             quadratic_coefficient=quadratic_coefficient, bound=bound)
 
     @property
     def ok(self) -> bool:
@@ -452,10 +440,5 @@ def check_admissible(law: InteractionLaw) -> AdmissibilityReport:
                 if x > 0 and s0 < x ** (1.0 / q) < min(s1, 1.0):
                     points.append((x ** (1.0 / q), False))
         a = max(_mass_below(measure, t, closed) / t ** 2 for t, closed in points)
-    return AdmissibilityReport(
-        monotone_witness=monotone,
-        quadratic_witness=quadratic,
-        bounded_witness=bounded,
-        quadratic_coefficient=a,
-        bound=math.inf if bounded else _mass_below(measure, math.inf),
-    )
+    return AdmissibilityReport(monotone, quadratic, bounded, a,
+                               math.inf if bounded else _mass_below(measure, math.inf))

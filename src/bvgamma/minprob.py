@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+
+from . import _Frozen, _Record
 
 __all__ = [
     "window_sums",
@@ -170,17 +171,16 @@ def suite_telescope(rng, count: int) -> tuple:
     return worst, witness
 
 
-@dataclass(frozen=True)
-class MinProblem:
+class MinProblem(_Frozen):
     """Objective sum_k lambda_k * log_cost(lengths, k) over n lengths."""
 
-    n: int
-    law: object
+    _fields = ("n", "law")
 
-    def __post_init__(self):
-        if getattr(self.law, "steps", None) is None:
+    def __init__(self, n: int, law):
+        if getattr(law, "steps", None) is None:
             raise TypeError("minimum problems need a piecewise-constant law")
-        if self.n < self.max_index + 1:
+        self.__dict__.update(n=n, law=law)
+        if n < self.max_index + 1:
             raise ValueError(f"need n >= {self.max_index + 1} for this law")
 
     @property
@@ -245,14 +245,17 @@ class MinProblem:
         return np.array([math.fsum(c) for c in zip(*costs)]), grad
 
 
-@dataclass
-class MinResult:
-    value: float           # objective of the minimizer below (the closed form if certified)
-    minimizer: tuple       # floats, normalized to unit sum
-    starts: int
-    winning_seed: str      # e.g. "period-3", "smooth-start-17"
-    traces: list = field(default_factory=list)  # (seed tag, [objective per iteration])
-    certified: str | None = None  # the lower bound the value attains, if exact
+class MinResult(_Record):
+    _fields = ("value", "minimizer", "starts", "winning_seed", "traces", "certified")
+
+    def __init__(self, value: float, minimizer: tuple, starts: int, winning_seed: str,
+                 traces: list | None = None, certified: str | None = None):
+        # value: objective of the unit-sum minimizer (the closed form if certified);
+        # winning_seed: e.g. "period-3", "smooth-start-17"; traces: (seed tag, [objective
+        # per iteration]); certified: the lower bound the value attains, if exact
+        self.__dict__.update(value=value, minimizer=minimizer, starts=starts,
+                             winning_seed=winning_seed, certified=certified,
+                             traces=[] if traces is None else traces)
 
     def to_json(self) -> dict:
         """JSON view; each trace keeps its first 20 iterations."""

@@ -7,10 +7,10 @@ irrelevant to every integral computed here.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+
+from . import _Frozen
 
 __all__ = [
     "StepFunction",
@@ -25,16 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    breakpoints: tuple  # x0 < x1 < ... < xn
-    values: tuple       # v1..vn, value v_i on (x_{i-1}, x_i)
+class StepFunction(_Frozen):
+    _fields = ("breakpoints", "values")
 
-    def __post_init__(self):
-        xs = tuple(float(x) for x in self.breakpoints)
-        vs = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", xs)
-        object.__setattr__(self, "values", vs)
+    def __init__(self, breakpoints: tuple, values: tuple):
+        # breakpoints x0 < x1 < ... < xn; value v_i on (x_{i-1}, x_i)
+        xs = tuple(float(x) for x in breakpoints)
+        vs = tuple(float(v) for v in values)
+        self.__dict__.update(breakpoints=xs, values=vs)
         if len(vs) < 1 or len(xs) != len(vs) + 1:
             raise ValueError("need n >= 1 pieces and n + 1 breakpoints")
         if not all(map(math.isfinite, xs + vs)):
@@ -83,6 +81,7 @@ class StepFunction:
         The last row supplies the final breakpoint; its value field is ignored
         (may be empty).
         """
+        import csv
         xs, vs = [], []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):

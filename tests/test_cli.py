@@ -1,6 +1,8 @@
 import ast
+import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -172,6 +174,31 @@ class TestLazyLoading:
     def test_verify_step_suites_load_neither_numpy_nor_minprob(self, suite):
         assert _loaded_after(["verify", suite, "--count", "50"]) == {
             "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
+
+    # neither the records nor these commands need dataclasses, exact fractions or csv
+    @pytest.mark.parametrize("args", [
+        ["energy", "step", "--law", "psi:3", "--u", "u.json", "--deltas", "0.5,0.25"],
+        ["verify", "telescope", "--count", "5"],
+        ["verify", "rearrange", "--count", "5"],
+        ["verify", "chain", "--count", "5"],
+        ["minprob", "--law", "phi:3", "--n", "8..16", "--dump-minimizer"],
+        ["minprob", "--law", "psi:2", "--n", "8", "--starts", "2"]], ids=" ".join)
+    def test_start_up_loads_no_dataclasses_fractions_or_csv(self, tmp_path, args):
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3, 4], "values": [0, 0.25, 0.5, 0.75]}))
+        args = [str(u) if a == "u.json" else a for a in args]
+        assert not set(_modules_after(args)) & {"dataclasses", "fractions", "decimal", "csv"}
+
+    def test_csv_step_function_loads_csv(self, tmp_path):
+        u = tmp_path / "u.csv"
+        u.write_text("0,0\n1,0.25\n2,0.5\n3,\n")
+        assert "csv" in _modules_after(["energy", "step", "--law", "psi:3", "--u", str(u),
+                                        "--deltas", "0.5"])
+
+    @pytest.mark.parametrize("args", [["law", "--spec", "psi:2"], ["bounds", "psi"]],
+                             ids=" ".join)
+    def test_exact_scale_factors_load_fractions(self, args):
+        assert "fractions" in _modules_after(args)
 
     def test_bounds_psi_loads_neither_energy_nor_stepfn(self):
         loaded = _loaded_after(["bounds", "psi", "--m", "1..3"])
@@ -625,6 +652,25 @@ def test_seeded_suites_reproduce_recorded_output(runner, suite, count, seed, mar
                                   "--seed", str(seed)])
     assert result.exit_code == 0
     assert float.hex(json.loads(result.output)["min_margin"]) == margin
+
+
+def test_emit_rows_quotes_cells_that_hold_a_comma_or_a_quote(capsys):
+    ctx = SimpleNamespace(obj={"json": False})
+    _emit_rows(ctx, ["a", "b", "c"], [["x,y", 'say "hi"', 1.5]])
+    assert capsys.readouterr().out.splitlines() == ["a,b,c", '"x,y","say ""hi""",1.5']
+
+
+def test_text_minimizer_dump_is_one_csv_field(capsys):
+    code, text, _ = _run(capsys, "minprob", "--law", "psi:2", "--n", "8,12", "--starts", "2",
+                         "--dump-minimizer")
+    _, doc, _ = _run(capsys, "--json", "minprob", "--law", "psi:2", "--n", "8,12",
+                     "--starts", "2", "--dump-minimizer")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert code == 0 and [len(row) for row in rows] == [5, 5, 5]
+    assert rows[0] == ["n", "value", "value_per_n", "winning_seed", "minimizer"]
+    for row, want in zip(rows[1:], json.loads(doc)):
+        assert json.loads(row[4]) == json.loads(want["minimizer"])
+        assert len(json.loads(row[4])) == int(row[0])
 
 
 def test_emit_rows_keeps_the_sign_of_infinity(capsys):

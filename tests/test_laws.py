@@ -19,7 +19,10 @@ from bvgamma.laws import (
     check_admissible,
     phi_eps,
 )
-from bvgamma.minprob import MinProblem
+from bvgamma.bounds import BoundReport, psi_bound
+from bvgamma.energy import EnergyResult
+from bvgamma.minprob import MinProblem, MinResult, minimize
+from bvgamma.stepfn import StepFunction
 
 
 def quad_scale_factor(law, nodes=()):
@@ -551,3 +554,101 @@ class TestAdmissibility:
         t = np.linspace(0.5, 1.0, 200001)
         grid_sup = float(np.max(_at(law, t) / t ** 2))
         assert grid_sup <= a <= grid_sup * (1 + 1e-10)
+
+
+# each law and record with the repr the package has always printed; ten test
+# parametrizations use ids=repr, so these strings are also test IDs
+_RECORD_REPRS = [
+    (lambda: ModelLaw(3), "ModelLaw(k=3)"),
+    (lambda: ModelLaw(), "ModelLaw(k=1)"),
+    (lambda: PiecewiseConstantLaw((0, 0, 2.5)), "PiecewiseConstantLaw(weights=(0, 0, 2.5))"),
+    (lambda: PackagedDyadicLaw((1, 1)), "PackagedDyadicLaw(packages=(1, 1))"),
+    (lambda: AffineThetaLaw(), "AffineThetaLaw()"),
+    (lambda: DyadicAffineLaw(((0, 0.5), (-2, 0.25))),
+     "DyadicAffineLaw(nodes=((-2, 0.25), (0, 0.5)))"),
+    (lambda: ScaledLaw(ModelLaw(2), 0.5, 2.0),
+     "ScaledLaw(inner=ModelLaw(k=2), alpha=0.5, beta=2.0)"),
+    (lambda: TabulatedLaw((1, 2), (0.5, 1)),
+     "TabulatedLaw(grid=(1.0, 2.0), samples=(0.5, 1.0), origin_power=2.0, tail='constant')"),
+    (lambda: phi_eps(0.1), "QuadraticHeadLaw(eps=0.1)"),
+    (lambda: check_admissible(TabulatedLaw((1, 2), (0.5, 1), tail="extrapolate")),
+     "AdmissibilityReport(monotone_witness=None, quadratic_witness=None, bounded_witness="
+     "'density on (2, inf)', quadratic_coefficient=0.5, bound=inf)"),
+    (lambda: StepFunction((0, 1, 2), (0, 1)),
+     "StepFunction(breakpoints=(0.0, 1.0, 2.0), values=(0.0, 1.0))"),
+    (lambda: EnergyResult(1.5, "exact"), "EnergyResult(value=1.5, method='exact', error_estimate=0.0)"),
+    (lambda: MinProblem(n=8, law=PackagedDyadicLaw((1, 1))),
+     "MinProblem(n=8, law=PackagedDyadicLaw(packages=(1, 1)))"),
+    (lambda: minimize(MinProblem(6, ModelLaw(3))),
+     "MinResult(value=1.3862943611198906, minimizer=(0.5, 0.0, 0.0, 0.5, 0.0, 0.0), starts=1, "
+     "winning_seed='period-3', traces=[('period-3', [1.3862943611198906])], "
+     "certified='block-sum AM-GM bound')"),
+    (lambda: psi_bound(2),
+     "BoundReport(law_id='psi:2', scale_factor=1.8333333333333333, k_lower=0.7561605606108495, "
+     "chain=[('package-telescopic-bound', 1.3862943611198906), ('harmonic-scale-factor', "
+     "1.8333333333333333)], dimension_note='dimension-uniform', scale_factor_exact=Fraction(11, 6))"),
+]
+
+_FROZEN = [(lambda: ModelLaw(3), "k"), (lambda: PiecewiseConstantLaw((1, 2)), "weights"),
+           (lambda: PackagedDyadicLaw((1, 1)), "packages"), (lambda: AffineThetaLaw(), "steps"),
+           (lambda: DyadicAffineLaw(((0, 1.0),)), "nodes"),
+           (lambda: ScaledLaw(ModelLaw(1), 2.0), "alpha"),
+           (lambda: TabulatedLaw((1, 2), (0.5, 1)), "tail"), (lambda: phi_eps(0.5), "eps"),
+           (lambda: StepFunction((0, 1), (2,)), "values"),
+           (lambda: EnergyResult(1.0, "exact"), "value"),
+           (lambda: MinProblem(8, ModelLaw(1)), "n")]
+
+
+class TestRecords:
+    """Laws, step functions and result records: value equality, repr, immutability."""
+
+    @pytest.mark.parametrize("make, text", _RECORD_REPRS, ids=[t for _, t in _RECORD_REPRS])
+    def test_repr(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make", [m for m, _ in _RECORD_REPRS[:9]] + [
+        lambda: StepFunction((0, 1, 2), (0, 1)), lambda: EnergyResult(1.5, "exact", 0.1),
+        lambda: MinProblem(8, PackagedDyadicLaw((1, 1)))])
+    def test_equal_values_compare_and_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_equality_reads_the_fields_and_the_class(self):
+        assert ModelLaw(3) != ModelLaw(2)
+        # the same steps, but another class
+        assert ModelLaw(1) != PiecewiseConstantLaw((1,))
+        assert StepFunction((0, 1), (2,)) == StepFunction((0.0, 1.0), (2.0,))
+        assert StepFunction((0, 1), (2,)) != StepFunction((0, 1), (3,))
+        assert ScaledLaw(ModelLaw(2), 2.0) == ScaledLaw(ModelLaw(2), 2.0, 1.0)
+        assert PackagedDyadicLaw((1, 1)) != (1, 1)
+
+    @pytest.mark.parametrize("make, name", _FROZEN, ids=[n for _, n in _FROZEN])
+    def test_frozen_refuses_assignment(self, make, name):
+        obj = make()
+        before = repr(obj)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            obj.extra = 0
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert repr(obj) == before
+
+    def test_results_are_mutable_and_unhashable(self):
+        rep = psi_bound(1)
+        rep.k_lower = 2.0
+        assert rep.k_lower == 2.0
+        for rec in (rep, MinResult(1.0, (1.0,), 1, "x"), check_admissible(ModelLaw(1))):
+            with pytest.raises(TypeError):
+                hash(rec)
+
+    def test_default_lists_are_fresh(self):
+        a, b = MinResult(1.0, (1.0,), 1, "x"), MinResult(1.0, (1.0,), 1, "x")
+        assert a.traces == b.traces == [] and a.traces is not b.traces
+        a.traces.append(("x", [1.0]))
+        assert b.traces == [] and a != b
+        c, d = BoundReport("theta", 0.5, 1.0), BoundReport("theta", 0.5, 1.0)
+        assert c.chain == d.chain == [] and c.chain is not d.chain
+        c.chain.append(("scale-factor", 0.5))
+        assert d.chain == [] and c != d
