@@ -364,7 +364,10 @@ def energy_pointwise(ctx, spec_text, profile, deltas, tol):
     scale = 2.0 * law.scale_factor() * tv
     rows = []
     for delta in deltas:
-        res = lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
+        try:
+            res = lambda_quad(law, func, (0.0, 1.0), delta, tol=tol)
+        except RuntimeError as exc:  # the grid reached its cap before the estimate met tol
+            raise click.BadParameter(f"{exc} at delta={delta}", param_hint="--tol")
         rows.append([delta, res.value, res.method, res.error_estimate,
                      res.value / scale])
     _emit_rows(ctx, ["delta", "value", "method", "error_estimate", "ratio"], rows)

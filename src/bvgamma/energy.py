@@ -9,7 +9,7 @@ on the piecewise-linear interpolant of a sampling grid.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from operator import ge, gt, sub
 from typing import TYPE_CHECKING
 
 from . import _Frozen
@@ -42,6 +42,24 @@ def _snap(t: float) -> float:
     return float(r) if abs(t - r) <= 1e-9 * max(1.0, abs(t)) else t
 
 
+def _cut(key, above, c, lo, hi, q) -> int:
+    """The least i in [lo, hi) with above(key(i), c), else hi, for a key nondecreasing on
+    [lo, hi): gallop from the hint q by steps of 1, 2, 4, ..., then bisect the bracket."""
+    q, step = lo if q < lo else hi if q > hi else q, 1
+    if q == hi or above(key(q), c):  # the cut is at or below q
+        while q - step >= lo and above(key(q - step), c):
+            step += step
+        lo, hi = (lo if lo > q - step else q - step + 1), q - step // 2
+    else:
+        while q + step < hi and not above(key(q + step), c):
+            step += step
+        lo, hi = q + step // 2 + 1, (hi if hi < q + step else q + step)
+    while lo < hi:
+        m = (lo + hi) // 2
+        lo, hi = (lo, m) if above(key(m), c) else (m + 1, hi)
+    return hi
+
+
 def _step_energy(x, v, law, delta) -> float:
     """Sum over piece pairs p < q of law(|v_q - v_p| / delta) times the pair integral,
     threshold by threshold of the law's measure (``InteractionLaw.threshold_measure``).
@@ -50,12 +68,15 @@ def _step_energy(x, v, law, delta) -> float:
     log(x_b - x_a); so T summed over q in [a, b) telescopes to one well-conditioned
     log1p(l_p (x_b - x_a) / ((x_a - x_{p+1})(x_b - x_p))), l_p = x_{p+1} - x_p.  In each
     disjoint maximal monotone run, the q > p + 1 whose snapped ratio exceeds a threshold
-    s form a prefix and a suffix, found by bisection.  An atom weights them by its mass;
-    a density piece on (s0, s1) does so at s1, and weights the pairs in (s0, s1] one by
-    one.  It is +inf when an adjacent pair has positive weight, decided first.
+    s form a prefix and a suffix.  Run by run, the pieces p are swept in order, and each
+    level's cuts (``_cut``) start from piece p - 1's, so a cut costs O(log) of how far it
+    moves.  An atom weights the pairs past its cuts by its mass; a density piece on
+    (s0, s1) does so at s1, and weights the pairs in (s0, s1] one by one.  It is +inf
+    when an adjacent pair has positive weight, decided once at the largest adjacent
+    jump, since the snap and mu((0, t)) are nondecreasing in t.
     """
     measure = atoms, densities = law.threshold_measure()
-    if any(_mass_below(measure, _snap(abs(b - a) / delta)) > 0 for a, b in zip(v, v[1:])):
+    if _mass_below(measure, _snap(max(map(abs, map(sub, v[1:], v)), default=0.0) / delta)) > 0:
         return math.inf
     levels = sorted([*((s, w, None) for s, w in atoms),  # (s, mass past s, piece)
                      *((d[1], _mass_below(((), (d,)), d[1]), d) for d in densities)],
@@ -68,23 +89,30 @@ def _step_energy(x, v, law, delta) -> float:
         else:
             runs[-1][1:] = i + 1, runs[-1][2] or step
     parts = []
-    for p in range(len(v) - 2):
-        vp, x0, x1 = v[p], x[p], x[p + 1]
+    for lo, hi, sign in runs:
+        sign, cuts = sign or 1, [[lo] * 4 for _ in levels]  # a run of one value rises
+        for p in range(hi - 2):  # the pieces p with a q > p + 1 in the run
+            vp, x0, x1, a = v[p], x[p], x[p + 1], lo if lo > p + 2 else p + 2
 
-        def term(a, b):
-            return math.log1p((x1 - x0) * (x[b] - x[a]) / ((x[a] - x1) * (x[b] - x0)))
+            def key(q):  # _snap's rule, inlined as it runs per probe; signed to rise along the run
+                t = (v[q] - vp) / delta
+                r, m = round(t), (t if t > 1.0 else -t if t < -1.0 else 1.0)
+                return sign * (float(r) if abs(t - r) <= 1e-9 * m else t)
 
-        for lo, hi, sign in runs:
-            lo, sign = max(lo, p + 2), sign or 1  # a run of one value rises
-            # signed to rise along the run, the snapped ratio is < -s before pre and > s from suf
-            key, pre, suf = (lambda y: sign * _snap((y - vp) / delta)), hi, lo
-            for s, w, piece in levels if lo < hi else ():
-                pre = bisect_left(v, -s, lo, pre, key=key)
-                suf = bisect_right(v, s, max(pre, suf), hi, key=key)
-                parts += [w * term(a, b) for a, b in ((lo, pre), (suf, hi)) if a < b]
+            def term(a, b):
+                return math.log1p((x1 - x0) * (x[b] - x[a]) / ((x[a] - x1) * (x[b] - x0)))
+
+            # the key is < -s before pre and > s from suf; cut holds pre, suf, pre0, suf0
+            for (s, w, piece), cut in zip(levels, cuts):
+                pre = cut[0] = _cut(key, ge, -s, a, hi, cut[0])
+                suf = cut[1] = _cut(key, gt, s, pre, hi, cut[1])
+                if a < pre:
+                    parts.append(w * term(a, pre))
+                if suf < hi:
+                    parts.append(w * term(suf, hi))
                 if piece:
-                    pre0 = bisect_left(v, -piece[0], pre, hi, key=key)
-                    suf0 = bisect_right(v, piece[0], pre0, suf, key=key)
+                    pre0 = cut[2] = _cut(key, ge, -piece[0], pre, hi, cut[2])
+                    suf0 = cut[3] = _cut(key, gt, piece[0], pre0, suf, cut[3])
                     parts += [_mass_below(((), (piece,)), _snap(abs(v[q] - vp) / delta))
                               * term(q, q + 1) for q in (*range(pre, pre0), *range(suf0, suf))]
     return 2.0 * delta * math.fsum(parts)

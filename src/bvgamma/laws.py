@@ -62,7 +62,7 @@ def _finite(xs) -> bool:
 
 def _checked_weights(values, list_name: str, name: str) -> tuple:
     """values as a tuple of step weights: nonempty, each a real number (not a bool),
-    finite and nonnegative, not all zero."""
+    finite and nonnegative, not all zero, with a sum that is a finite float."""
     w = tuple(values)
     if len(w) == 0:
         raise ValueError(f"{list_name} must be nonempty")
@@ -75,6 +75,10 @@ def _checked_weights(values, list_name: str, name: str) -> tuple:
         raise ValueError(f"{name}s must be nonnegative")
     if all(x == 0 for x in w):
         raise ValueError(f"at least one {name} must be positive")
+    try:
+        math.fsum(w)  # the law's total mass, which every evaluation may reach
+    except OverflowError:
+        raise ValueError(f"{name}s must sum to at most {sys.float_info.max!r}") from None
     return w
 
 

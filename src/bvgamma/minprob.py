@@ -284,7 +284,8 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
     moves no coordinate by more than 50.  A row stops at max|gradient| <= 1e-13,
     at a relative decrease <= 1e-16 (the ``ftol`` test of L-BFGS-B), once a log
     coordinate reaches +-300 (its entries then span less than e^700, so none on its
-    support underflows to 0 in the unit-sum minimizer), or after 1000 iterations.
+    support underflows to 0 in the unit-sum minimizer), once its slope g.d is not finite
+    (huge weights: its Armijo test could then never pass), or after 1000 iterations.
     Returns each row's value and unit-sum minimizer, and its trace: the start's
     value, then the value after each iteration.
     """
@@ -318,6 +319,10 @@ def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
         for j, a in zip(used, reversed(alphas)):
             d = d + (a - R[:, j] * dot(Y[:, j], d))[:, None] * S[:, j]
         t, gd = np.minimum(1.0, 50.0 / np.max(np.abs(d), axis=1)), dot(g, d)
+        ok = np.isfinite(gd)
+        if not ok.all():
+            rows, x, f, g, on, S, Y, R, d, t, gd = (a[ok] for a in (rows, x, f, g, on, S, Y, R,
+                                                                     d, t, gd))
         f_new, g_new = fun(x + t[:, None] * d, on)
         # t = 0 passes, so this ends; a step of no decrease then stops the row
         bad = ~(f_new <= f + 1e-4 * t * gd)
@@ -407,7 +412,8 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     tags += [f"smooth-start-{s}" for s in range(starts)]
     draw = random.Random(seed).lognormvariate
     stack = np.array(seeds + [[draw(0.0, 1.0) for _ in range(problem.n)] for _ in range(starts)])
-    values, args, traces = _polish(problem, stack)
+    with np.errstate(over="ignore"):  # _polish stops a row whose slope overflows
+        values, args, traces = _polish(problem, stack)
     best_val, best_arg, best_tag, best_start = math.inf, None, None, None
     for tag, val, arg, start in zip(tags, values, args, stack):
         tol = 1e-12 * max(1.0, abs(val))

@@ -818,6 +818,20 @@ class TestBoundsCommand:
         assert hint in result.output and message in result.output
 
 
+@pytest.mark.parametrize("args, code, named", [
+    ("bounds factor --law pca:[1e200,1e200]", 0, "factor="),
+    ("law --spec pca:[1e308,1e308]", 2, "weights must sum"),
+    ("minprob --law pca:[1e308,1e308] --n 4", 2, "weights must sum"),
+    ("energy pointwise --law phi1 --u linear --deltas 1e-1 --tol 1e-15", 2, "--tol"),
+])
+def test_extreme_inputs_end_in_an_answer_or_one_error(runner, args, code, named):
+    # a search whose slope overflows once hung, and the other three ended in a traceback
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert named in result.output
+
+
 class TestEnergyCommand:
     def test_gd_table(self, runner):
         result = runner.invoke(main, ["energy", "gd", "--dmax", "3"])

@@ -249,6 +249,48 @@ class TestPairKernel:
             got = hostility(0.5, u, k).value
             assert got == want if math.isinf(want) else abs(got - want) <= 1e-14 * want
 
+    @staticmethod
+    def _count_keys(monkeypatch, cut, x, v, law):
+        """(key evaluations, energy at delta = 1) with every cut found by ``cut``."""
+        calls = 0
+
+        def counting(key, *args):
+            def counted(q):
+                nonlocal calls
+                calls += 1
+                return key(q)
+            return cut(counted, *args)
+        with monkeypatch.context() as m:
+            m.setattr(energy, "_cut", counting)
+            value = energy._step_energy(x, v, law, 1.0)
+        return calls, value
+
+    @staticmethod
+    def _bisect_cut(key, above, c, lo, hi, q):
+        while lo < hi:  # the hint unused
+            m = (lo + hi) // 2
+            lo, hi = (lo, m) if above(key(m), c) else (m + 1, hi)
+        return hi
+
+    @pytest.mark.parametrize("law, levels", [(ModelLaw(3), 1),
+                                             (PiecewiseConstantLaw((0, 0, 1, 0.5)), 2)],
+                             ids=["phi:3", "pca"])
+    def test_cuts_cost_log_of_their_move(self, monkeypatch, law, levels):
+        # 0, 3, 0, 3, ... then a slow ramp from 0 to 6: each tooth moves the ramp's cut
+        # by half its length, which a walk from the hint pays in full (2.4-2.8 P L log P
+        # key evaluations) and a bisection of the whole run pays on every cut (1.7)
+        ramp = [6.0 * i / 2000 for i in range(2000)]
+        v = [0.0, 3.0] * 30 + ramp
+        x = [float(i) for i in range(len(v) + 1)]
+        calls, value = self._count_keys(monkeypatch, energy._cut, x, v, law)
+        assert 0 < value < math.inf
+        assert calls <= len(v) * levels * math.ceil(math.log2(len(v)))
+        assert value == self._count_keys(monkeypatch, self._bisect_cut, x, v, law)[1]
+        # on the ramp alone each cut moves by at most one: O(1) keys per cut, where a
+        # bisection pays about 19 per piece and level
+        calls, _ = self._count_keys(monkeypatch, energy._cut, x[:2001], ramp, law)
+        assert calls <= 3 * len(ramp) * levels
+
 
 def _mp_pair_logs(bp):
     """The 40-digit pair integrals T(i, j), i + 1 < j, of the pieces of breakpoints bp."""

@@ -418,6 +418,13 @@ class TestStructure:
         (PackagedDyadicLaw, (0, 0), "at least one package weight must be positive"),
         (PackagedDyadicLaw, (1,) * 14, "package depth must be at most 13, got 14"),
         (PackagedDyadicLaw, (0,) * 39 + (1,), "package depth must be at most 13, got 40"),
+        # the total mass, which the law reaches at large t, must be a float
+        (PiecewiseConstantLaw, (1e308, 1e308),
+         r"weights must sum to at most 1\.7976931348623157e\+308"),
+        (PackagedDyadicLaw, (1e308, 1e308),
+         r"package weights must sum to at most 1\.7976931348623157e\+308"),
+        (PackagedDyadicLaw, (0, 1e308),
+         r"weights must sum to at most 1\.7976931348623157e\+308"),
     ])
     def test_weight_check_messages(self, make, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

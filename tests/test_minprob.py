@@ -452,6 +452,19 @@ class TestMinimize:
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-6 * np.maximum(1.0, np.abs(trace[:-1])))
 
+    @pytest.mark.parametrize("w", [1e200, 1e300])
+    def test_huge_weights_end_with_a_finite_upper_value(self, w):
+        # the slope gd overflows, which once kept the line search halving t forever;
+        # the minimum is homogeneous of degree 1 in the weights, so the value lies
+        # between w times the unit law's minimum and w times the all-ones cost
+        unit = MinProblem(n=8, law=PiecewiseConstantLaw((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(MinProblem(n=8, law=PiecewiseConstantLaw((w, w))), starts=4)
+        low, high = minimize(unit, starts=4).value, unit.objective(np.ones(8))
+        assert math.isfinite(res.value)
+        assert low * w * (1 - 1e-12) <= res.value <= high * w * (1 + 1e-12)
+
     def test_json_serialization(self):
         res = minimize(MinProblem(n=5, law=ModelLaw(1)), starts=2, seed=0)
         doc = res.to_json()
