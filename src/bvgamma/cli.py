@@ -197,7 +197,10 @@ def cmd_minprob(ctx, spec_text, ns, starts, seed, dump_minimizer):
     law = parse_law_spec(spec_text)
     problems = _min_problems(law, ns, "--n", starts)
 
-    results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
+    try:
+        results = [minimize(problem, starts=starts, seed=seed) for problem in problems]
+    except OverflowError as exc:
+        raise click.BadParameter(str(exc), param_hint="--law")
     rows = []
     for n, res in zip(ns, results):
         row = [n, res.value, res.value / n, res.winning_seed]
@@ -316,7 +319,10 @@ def bounds_factor(ctx, spec_text, n_max, starts, seed):
     from .bounds import gamma_liminf_factor
     law = parse_law_spec(spec_text)
     _min_problems(law, [n_max], "--n-max", starts)  # the largest problem gamma_liminf_factor builds
-    factor, chain = gamma_liminf_factor(law, n_max=n_max, starts=starts, seed=seed)
+    try:
+        factor, chain = gamma_liminf_factor(law, n_max=n_max, starts=starts, seed=seed)
+    except OverflowError as exc:
+        raise click.BadParameter(str(exc), param_hint="--law")
     _emit(ctx, {"factor": factor, "chain": [[s, c] for s, c in chain]},
           [f"factor={_fmt(factor)}", *(f"  {s}: {_fmt(c)}" for s, c in chain)])
 

@@ -345,8 +345,9 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
         runs = _runs(x, samples)
         top = (samples.max() - samples.min()) / delta  # the oscillation of U over delta
         # (threshold, weight) of each atom, then of each rule's nodes on each density piece
+        # (the 8-point rule only from the second level, as only err reads its value)
         terms = [list(atoms)]
-        for nodes, weights in rules:
+        for nodes, weights in rules[1:] if prev is None else rules:
             terms.append([])
             for s0, s1, c, p in densities:
                 s1 = min(s1, top)
@@ -369,10 +370,10 @@ def lambda_quad(law: InteractionLaw, u, interval, delta: float,
                       for m in _crossing_measure(runs, t[lo:lo + rows]).tolist()])
         crossing = iter([next(below) if sk < top else 0.0 for sk in s])
         atom_parts, *rule_parts = ([w * next(crossing) for _, w in group] for group in terms)
-        coarse, val = (2.0 * delta * math.fsum([math.fsum(atom_parts), *parts])
-                       for parts in rule_parts)
+        *coarse, val = (2.0 * delta * math.fsum([math.fsum(atom_parts), *parts])
+                        for parts in rule_parts)
         if prev is not None:
-            err = abs(val - prev) + abs(val - coarse) + n * 2.0 ** -52 * abs(val)
+            err = abs(val - prev) + abs(val - coarse[0]) + n * 2.0 ** -52 * abs(val)
             if err <= tol * max(1.0, abs(val)):
                 return EnergyResult(val, "quadrature", error_estimate=err)
         if n >= max_grid:

@@ -111,7 +111,8 @@ class InteractionLaw:
         """Sum of w/s over the atoms as a Fraction, or None when the measure has a
         density or an atom whose threshold or weight is not exact."""
         atoms, densities = self.threshold_measure()
-        exact = [(_as_fraction(s), _as_fraction(w)) for s, w in atoms]
+        # a density gives no exact value, so its atoms load no fractions
+        exact = [] if densities else [(_as_fraction(s), _as_fraction(w)) for s, w in atoms]
         if densities or any(fs is None or fw is None for fs, fw in exact):
             return None
         from fractions import Fraction

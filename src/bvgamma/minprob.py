@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 from . import _Frozen, _Record
 
@@ -193,17 +194,13 @@ class MinProblem(_Frozen):
         return self.law.steps[-1][0]
 
     def objective(self, lengths) -> float:
-        return self.value_and_grad(lengths)[0]
+        import numpy as np
+        return float(self._rows(np.asarray(lengths, dtype=float)[None])[0][0])
 
     def gradient(self, lengths) -> np.ndarray:
         """Analytic gradient with respect to the lengths."""
-        return self.value_and_grad(lengths)[1]
-
-    def value_and_grad(self, lengths) -> tuple:
-        """Objective value and its analytic gradient: ``_rows`` on one row."""
         import numpy as np
-        values, grads = self._rows(np.asarray(lengths, dtype=float)[None])
-        return float(values[0]), grads[0]
+        return self._rows(np.asarray(lengths, dtype=float)[None])[1][0]
 
     def _rows(self, lengths: np.ndarray) -> tuple:
         """Objective values and gradients of the rows of a (B, n) stack.
@@ -256,20 +253,6 @@ class MinResult(_Record):
         self.__dict__.update(value=value, minimizer=minimizer, starts=starts,
                              winning_seed=winning_seed, certified=certified,
                              traces=[] if traces is None else traces)
-
-    def to_json(self) -> dict:
-        """JSON view; each trace keeps its first 20 iterations."""
-        return {
-            "value": self.value,
-            "minimizer": list(self.minimizer),
-            "starts": self.starts,
-            "winning_seed": self.winning_seed,
-            "certified": self.certified,
-            "traces": [
-                {"seed": tag, "objective": [float(v) for v in vals[:20]]}
-                for tag, vals in self.traces
-            ],
-        }
 
 
 def _polish(problem: MinProblem, starts: np.ndarray) -> tuple:
@@ -390,12 +373,12 @@ def _certified_minimum(problem: MinProblem):
 def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     """Least objective value over pattern seeds and multi-start descent.
 
-    A law with a certified minimum (``_certified_minimum``) returns its
-    attaining pattern at once, unpolished and without numpy, with the closed
-    form as the value.  Otherwise every pattern seed and ``starts`` smooth starts,
-    each n ``lognormvariate(0, 1)`` draws of ``random.Random(seed)``, are the rows
-    of one batched ``_polish``, a numpy L-BFGS whose rows run as if alone, and the
-    value is an upper bound for the infimum.
+    A law with a certified minimum (``_certified_minimum``) returns its attaining
+    pattern at once, unpolished and without numpy, with the closed form as the value.
+    Otherwise every pattern seed and ``starts`` smooth starts, each n
+    ``lognormvariate(0, 1)`` draws of ``random.Random(seed)``, are the rows of one
+    batched ``_polish``, a numpy L-BFGS whose rows run as if alone.  The value is then
+    an upper bound for the infimum; one past the largest float raises OverflowError.
     """
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (starts, seed)):
         raise ValueError(f"starts and seed must be nonnegative integers, got {starts!r}, {seed!r}")
@@ -412,8 +395,13 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
     tags += [f"smooth-start-{s}" for s in range(starts)]
     draw = random.Random(seed).lognormvariate
     stack = np.array(seeds + [[draw(0.0, 1.0) for _ in range(problem.n)] for _ in range(starts)])
+    # the value is homogeneous of degree 1 in the weights, so search them scaled by 2^-e into
+    # [1, 2), where huge ones neither overflow nor stop the polish (MinProblem reads only steps)
+    e = math.frexp(max(float(w) for _, w in problem.law.steps))[1] - 1
+    scaled = MinProblem(problem.n, SimpleNamespace(
+        steps=[(k, math.ldexp(float(w), -e)) for k, w in problem.law.steps]))
     with np.errstate(over="ignore"):  # _polish stops a row whose slope overflows
-        values, args, traces = _polish(problem, stack)
+        values, args, traces = _polish(scaled, stack)
     best_val, best_arg, best_tag, best_start = math.inf, None, None, None
     for tag, val, arg, start in zip(tags, values, args, stack):
         tol = 1e-12 * max(1.0, abs(val))
@@ -422,5 +410,8 @@ def minimize(problem: MinProblem, starts: int = 64, seed: int = 0) -> MinResult:
         if val < best_val - tol or (val <= best_val + tol and best_arg is not None
                                     and np.count_nonzero(start) < np.count_nonzero(best_start)):
             best_val, best_arg, best_tag, best_start = val, arg, tag, start
-    return MinResult(best_val, tuple(best_arg.tolist()), len(tags), best_tag,
-                     list(zip(tags, traces)))
+    scale = 2.0 ** e
+    if best_val * scale == math.inf:
+        raise OverflowError(f"the minimum, {best_val!r} * 2**{e}, passes the largest float")
+    return MinResult(best_val * scale, tuple(best_arg.tolist()), len(tags), best_tag,
+                     [(tag, [v * scale for v in trace]) for tag, trace in zip(tags, traces)])

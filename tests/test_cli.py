@@ -31,6 +31,8 @@ from bvgamma.laws import (
 )
 from bvgamma.stepfn import StepFunction
 
+import import_contract
+
 
 @pytest.fixture
 def runner():
@@ -48,162 +50,23 @@ def _run(capsys, *args):
     return code, out.out, out.err
 
 
-def _modules_after(*commands, prelude="from bvgamma.cli import main"):
-    """Names in ``sys.modules`` of a fresh interpreter after ``prelude`` and the commands.
-
-    A command that ends in ``sys.exit`` (``verify``) must exit 0.
-    """
-    src = str(Path(bvgamma.__file__).resolve().parents[1])
-    code = (f"import sys; {prelude}\n"
-            f"for args in {list(commands)!r}:\n"
-            "    try:\n"
-            "        main(args, standalone_mode=False)\n"
-            "    except SystemExit as exc:\n"
-            "        assert exc.code == 0, (args, exc.code)\n"
-            "print(sorted(sys.modules), file=sys.stderr)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    return ast.literal_eval(out.stderr.splitlines()[-1])
-
-
-def _scipy_modules_after(*commands):
-    """scipy modules loaded in a fresh interpreter after running the commands."""
-    return [m for m in _modules_after(*commands) if m.split(".")[0] == "scipy"]
-
-
-def _loaded_after(*commands, **kwargs):
-    """numpy and the bvgamma submodules loaded in a fresh interpreter."""
-    return {m for m in _modules_after(*commands, **kwargs)
-            if m == "numpy" or m.startswith("bvgamma.")}
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A directory holding the input files that the import contract's cases name."""
+    directory = tmp_path_factory.mktemp("import-contract")
+    import_contract.write_inputs(directory)
+    return directory
 
 
 class TestLazyLoading:
     """Each process loads only the modules its command runs."""
 
-    def test_package_import_loads_no_submodule(self):
-        assert _loaded_after(prelude="import bvgamma") == set()
-
-    def test_cli_import_loads_no_library_module(self):
-        assert _loaded_after() == {"bvgamma.cli"}
-
-    def test_law_command_loads_laws_only(self):
-        assert _loaded_after(["law", "--spec", "psi:2"]) == {"bvgamma.cli", "bvgamma.laws"}
-        # a probe is mu((0, t)) read from the measure in Python
-        assert _loaded_after(["law", "--spec", "psi:2", "--probe", "0.5"]) == {
-            "bvgamma.cli", "bvgamma.laws"}
-
-    # every number these commands print is exact or closed-form Python arithmetic
-    @pytest.mark.parametrize("args", [["law", "--spec", "phieps:0.01"],
-                                      ["bounds", "psi", "--m", "1..12"],
-                                      ["bounds", "theta"],
-                                      ["bounds", "counterexample"]], ids=" ".join)
-    def test_exact_reports_load_no_numpy(self, args):
-        assert not _loaded_after(args) & {"numpy", "bvgamma.minprob"}
-
-    def test_domination_and_zeta_checks_load_no_numpy(self, tmp_path):
-        # both read their laws from the threshold measures in Python: the domination
-        # grid draws nothing, and the zeta quadrature rule is built in bounds.py
-        nodes = tmp_path / "zeta.json"
-        nodes.write_text(json.dumps({"nodes": [[-2, 0.25], [0, 0.5], [3, 1.75]]}))
-        assert _loaded_after(["bounds", "zeta", "--f", str(nodes)]) == {
-            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
-        assert _loaded_after(["verify", "domination", "--count", "50"]) == {
-            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws"}
-
-    def test_array_commands_load_numpy(self):
-        # the smooth starts are drawn from Python's random, so numpy.random stays unloaded
-        modules = _modules_after(["bounds", "factor", "--law", "psi:2", "--n-max", "8",
-                                  "--starts", "2"])
-        assert {m for m in modules if m == "numpy" or m.startswith("bvgamma.")} == {
-            "bvgamma.cli", "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
-        assert "numpy.random" not in modules
-
-    def test_energy_pointwise_loads_neither_stepfn_nor_minprob(self):
-        loaded = _loaded_after(["energy", "pointwise", "--law", "theta", "--deltas", "1e-1"])
-        assert "bvgamma.energy" in loaded
-        assert not loaded & {"bvgamma.stepfn", "bvgamma.minprob"}
-
-    def test_step_energies_load_no_minprob(self, tmp_path):
-        u = tmp_path / "u.json"
-        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3], "values": [0, 0.5, 1]}))
-        for args in (["energy", "step", "--law", "phi1", "--u", str(u), "--deltas", "0.5"],
-                     ["verify", "rearrange", "--count", "5"],
-                     ["verify", "chain", "--count", "5"]):
-            loaded = _loaded_after(args)
-            assert {"bvgamma.energy", "bvgamma.stepfn"} <= loaded
-            assert "bvgamma.minprob" not in loaded, args
-
-    def test_step_energy_loads_no_numpy(self, tmp_path):
-        # the pair kernel and the step function's helpers run in Python
-        u = tmp_path / "u.json"
-        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3, 4], "values": [0, 0.25, 0.5, 0.75]}))
-        assert _loaded_after(["energy", "step", "--law", "psi:3", "--u", str(u),
-                              "--deltas", "0.5,0.25"]) == {
-            "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
-
-    def test_step_energy_on_the_default_delta_range_loads_no_numpy(self, tmp_path):
-        # the range 1e-1..1e-3 is spaced in Python
-        u = tmp_path / "u.json"
-        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3, 4], "values": [0, 0.25, 0.5, 0.75]}))
-        assert _loaded_after(["energy", "step", "--law", "psi:3", "--u", str(u)]) == {
-            "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
-
-    # a single step law's minimum is certified in closed form, so no array is built
-    @pytest.mark.parametrize("args", [
-        ["minprob", "--law", "phi:3", "--n", "8..16", "--dump-minimizer"],
-        ["minprob", "--law", "phi1", "--n", "8,12,16"],
-        ["minprob", "--law", "pca:[0,0,2.5]", "--n", "7..20"],
-        ["bounds", "factor", "--law", "phi:3"]], ids=" ".join)
-    def test_certified_problems_load_no_numpy(self, args):
-        loaded = _loaded_after(args)
-        assert "bvgamma.minprob" in loaded and "numpy" not in loaded
-
-    @pytest.mark.parametrize("spec", ["psi:2", "pca:[0,0,1,0.5,0.25]"])
-    def test_searched_problems_load_numpy(self, spec):
-        modules = _modules_after(["minprob", "--law", spec, "--n", "12", "--starts", "2"])
-        assert {m for m in modules if m == "numpy" or m.startswith("bvgamma.")} == {
-            "bvgamma.cli", "bvgamma.laws", "bvgamma.minprob", "numpy"}
-        assert "numpy.random" not in modules
-
-    def test_verify_telescope_loads_minprob_only(self):
-        # the suite draws from Python's random and sums its windows in Python
-        assert _loaded_after(["verify", "telescope", "--count", "5"]) == {
-            "bvgamma.cli", "bvgamma.minprob"}
-
-    @pytest.mark.parametrize("suite", ["rearrange", "chain"])
-    def test_verify_step_suites_load_neither_numpy_nor_minprob(self, suite):
-        assert _loaded_after(["verify", suite, "--count", "50"]) == {
-            "bvgamma.cli", "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
-
-    # neither the records nor these commands need dataclasses, exact fractions or csv
-    @pytest.mark.parametrize("args", [
-        ["energy", "step", "--law", "psi:3", "--u", "u.json", "--deltas", "0.5,0.25"],
-        ["verify", "telescope", "--count", "5"],
-        ["verify", "rearrange", "--count", "5"],
-        ["verify", "chain", "--count", "5"],
-        ["minprob", "--law", "phi:3", "--n", "8..16", "--dump-minimizer"],
-        ["minprob", "--law", "psi:2", "--n", "8", "--starts", "2"]], ids=" ".join)
-    def test_start_up_loads_no_dataclasses_fractions_or_csv(self, tmp_path, args):
-        u = tmp_path / "u.json"
-        u.write_text(json.dumps({"breakpoints": [0, 1, 2, 3, 4], "values": [0, 0.25, 0.5, 0.75]}))
-        args = [str(u) if a == "u.json" else a for a in args]
-        assert not set(_modules_after(args)) & {"dataclasses", "fractions", "decimal", "csv"}
-
-    def test_csv_step_function_loads_csv(self, tmp_path):
-        u = tmp_path / "u.csv"
-        u.write_text("0,0\n1,0.25\n2,0.5\n3,\n")
-        assert "csv" in _modules_after(["energy", "step", "--law", "psi:3", "--u", str(u),
-                                        "--deltas", "0.5"])
-
-    @pytest.mark.parametrize("args", [["law", "--spec", "psi:2"], ["bounds", "psi"]],
-                             ids=" ".join)
-    def test_exact_scale_factors_load_fractions(self, args):
-        assert "fractions" in _modules_after(args)
-
-    def test_bounds_psi_loads_neither_energy_nor_stepfn(self):
-        loaded = _loaded_after(["bounds", "psi", "--m", "1..3"])
-        assert "bvgamma.bounds" in loaded
-        assert not loaded & {"bvgamma.energy", "bvgamma.stepfn"}
+    @pytest.mark.parametrize("case, loads", import_contract.CASES,
+                             ids=[case for case, _ in import_contract.CASES])
+    def test_import_contract(self, contract_dir, case, loads):
+        src = str(Path(bvgamma.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert import_contract.mismatch(case, loads, contract_dir, env) == ""
 
     def test_exports_are_their_defining_modules_objects(self):
         assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 40
@@ -244,35 +107,8 @@ def test_cli_pins_openblas_to_one_thread_unless_set():
 _SWEEP = ("--starts", "16", "--seed", "0", "--dump-minimizer")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded by the commands that need it, not at start-up
-    assert _scipy_modules_after() == []
-
-
-def test_certified_sweeps_leave_scipy_unloaded():
-    assert _scipy_modules_after(
-        ["--json", "minprob", "--law", "phi:3", "--n", "9,12,15", *_SWEEP],
-        ["--json", "minprob", "--law", "phi1", "--n", "8,12,16", *_SWEEP]) == []
-
-
-def test_verify_workload_leaves_scipy_unloaded(tmp_path):
-    nodes = tmp_path / "zeta.json"
-    nodes.write_text(json.dumps({"nodes": [[-2, 0.25], [0, 0.5], [3, 1.75]]}))
-    suites = [["--json", "verify", suite, "--count", "20", "--seed", "3"]
-              for suite in ("telescope", "rearrange", "chain", "domination")]
-    assert _scipy_modules_after(
-        *suites,
-        ["--json", "law", "--spec", "psi:2"],
-        ["--json", "law", "--spec", "phieps:0.01"],
-        ["--json", "bounds", "psi", "--m", "1..12"],
-        ["--json", "bounds", "theta"],
-        ["--json", "bounds", "zeta", "--f", str(nodes)],
-        ["--json", "bounds", "counterexample"]) == []
-
-
 def test_uncertified_sweep_still_polishes(runner, monkeypatch):
-    # psi:2 has no certified minimum, so every start is polished, and the
-    # polish loads no scipy
+    # psi:2 has no certified minimum, so every start is polished
     rows, results = [], []
     polish, minimize = minprob._polish, minprob.minimize
     monkeypatch.setattr(minprob, "_polish", lambda pb, starts: rows.append(len(starts))
@@ -286,8 +122,6 @@ def test_uncertified_sweep_still_polishes(runner, monkeypatch):
     (res,) = results
     assert rows == [len(list(minprob._pattern_seeds(problem))) + 16]
     assert rows == [res.starts] == [len(res.traces)]
-    assert _scipy_modules_after(["--json", "minprob", "--law", "psi:2", "--n", "8", *_SWEEP]) == []
-    assert _scipy_modules_after(["--json", "bounds", "factor", "--law", "psi:2"]) == []
 
 
 @pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8,12"],
@@ -822,10 +656,15 @@ class TestBoundsCommand:
     ("bounds factor --law pca:[1e200,1e200]", 0, "factor="),
     ("law --spec pca:[1e308,1e308]", 2, "weights must sum"),
     ("minprob --law pca:[1e308,1e308] --n 4", 2, "weights must sum"),
+    # the search runs on the weights scaled into [1, 2), and only a minimum past the
+    # largest float is an error
+    ("minprob --law pca:[1e307,1e307] --n 8", 0, "1.4525341508395769e+308"),
+    ("minprob --law pca:[1e307,1e307] --n 16", 2, "--law"),
+    ("bounds factor --law pca:[1e307,1e307]", 2, "--law"),
     ("energy pointwise --law phi1 --u linear --deltas 1e-1 --tol 1e-15", 2, "--tol"),
 ])
 def test_extreme_inputs_end_in_an_answer_or_one_error(runner, args, code, named):
-    # a search whose slope overflows once hung, and the other three ended in a traceback
+    # a search whose slope overflows once hung, and the others ended in a traceback
     result = runner.invoke(main, args.split())
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
