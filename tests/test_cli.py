@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import hashlib
 import importlib
 import io
@@ -58,6 +59,18 @@ def contract_dir(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def loads_of(contract_dir):
+    """The watched and bvgamma modules that a case, written as in the import contract,
+    loads in a fresh interpreter; each case runs once per module."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bvgamma.__file__).resolve().parents[1])}
+    return functools.cache(lambda case: import_contract.loaded(case, contract_dir, env))
+
+
+def _numpy_and_package(modules):
+    return {m for m in modules if m == "numpy" or m.startswith("bvgamma.")}
+
+
 class TestLazyLoading:
     """Each process loads only the modules its command runs."""
 
@@ -67,6 +80,106 @@ class TestLazyLoading:
         src = str(Path(bvgamma.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         assert import_contract.mismatch(case, loads, contract_dir, env) == ""
+
+    # the tests below name, one fact each, why the contract's rows load what they load
+
+    def test_package_import_loads_no_submodule(self, loads_of):
+        assert loads_of("import bvgamma") == set()
+
+    def test_cli_import_loads_no_library_module(self, loads_of):
+        assert _numpy_and_package(loads_of("import bvgamma.cli")) == {"bvgamma.cli"}
+
+    def test_law_command_loads_laws_only(self, loads_of):
+        assert _numpy_and_package(loads_of("law --spec psi:2")) == {"bvgamma.laws"}
+        # a probe is mu((0, t)) read from the measure in Python
+        assert _numpy_and_package(loads_of("law --spec psi:2 --probe 0.5")) == {"bvgamma.laws"}
+
+    # every number these commands print is exact or closed-form Python arithmetic
+    @pytest.mark.parametrize("args", ["law --spec phieps:0.01", "bounds psi --m 1..12",
+                                      "bounds theta", "bounds counterexample"])
+    def test_exact_reports_load_no_numpy(self, loads_of, args):
+        assert not loads_of(args) & {"numpy", "bvgamma.minprob"}
+
+    def test_domination_and_zeta_checks_load_no_numpy(self, loads_of):
+        # both read their laws from the threshold measures in Python: the domination
+        # grid draws nothing, and the zeta quadrature rule is built in bounds.py
+        for args in ("bounds zeta --f zeta.json", "verify domination --count 50"):
+            assert _numpy_and_package(loads_of(args)) == {"bvgamma.bounds", "bvgamma.laws"}
+
+    def test_array_commands_load_numpy(self, loads_of):
+        # the smooth starts are drawn from Python's random, so numpy.random stays unloaded
+        loaded = loads_of("bounds factor --law psi:2 --n-max 8 --starts 2")
+        assert _numpy_and_package(loaded) == {
+            "bvgamma.bounds", "bvgamma.laws", "bvgamma.minprob", "numpy"}
+        assert "numpy.random" not in loaded
+
+    def test_energy_pointwise_loads_neither_stepfn_nor_minprob(self, loads_of):
+        loaded = loads_of("energy pointwise --law theta --deltas 1e-1")
+        assert "bvgamma.energy" in loaded
+        assert not loaded & {"bvgamma.stepfn", "bvgamma.minprob"}
+
+    def test_step_energies_load_no_minprob(self, loads_of):
+        for args in ("energy step --law phi1 --u u.json --deltas 0.5",
+                     "verify rearrange --count 5", "verify chain --count 5"):
+            loaded = loads_of(args)
+            assert {"bvgamma.energy", "bvgamma.stepfn"} <= loaded
+            assert "bvgamma.minprob" not in loaded, args
+
+    def test_step_energy_loads_no_numpy(self, loads_of):
+        # the pair kernel and the step function's helpers run in Python
+        assert _numpy_and_package(loads_of("energy step --law psi:3 --u u.json --deltas 0.5,0.25")
+                                  ) == {"bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
+
+    def test_step_energy_on_the_default_delta_range_loads_no_numpy(self, loads_of):
+        # the range 1e-1..1e-3 is spaced in Python
+        assert _numpy_and_package(loads_of("energy step --law psi:3 --u u.json")) == {
+            "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
+
+    # a single step law's minimum is certified in closed form, so no array is built
+    @pytest.mark.parametrize("args", ["minprob --law phi:3 --n 8..16 --dump-minimizer",
+                                      "minprob --law phi1 --n 8,12,16",
+                                      "minprob --law pca:[0,0,2.5] --n 7..20",
+                                      "bounds factor --law phi:3"])
+    def test_certified_problems_load_no_numpy(self, loads_of, args):
+        loaded = loads_of(args)
+        assert "bvgamma.minprob" in loaded and "numpy" not in loaded
+
+    @pytest.mark.parametrize("spec", ["psi:2", "pca:[0,0,1,0.5,0.25]"])
+    def test_searched_problems_load_numpy(self, loads_of, spec):
+        loaded = loads_of(f"minprob --law {spec} --n 12 --starts 2")
+        assert _numpy_and_package(loaded) == {"bvgamma.laws", "bvgamma.minprob", "numpy"}
+        assert "numpy.random" not in loaded
+
+    def test_verify_telescope_loads_minprob_only(self, loads_of):
+        # the suite draws from Python's random and sums its windows in Python
+        assert _numpy_and_package(loads_of("verify telescope --count 5")) == {"bvgamma.minprob"}
+
+    @pytest.mark.parametrize("suite", ["rearrange", "chain"])
+    def test_verify_step_suites_load_neither_numpy_nor_minprob(self, loads_of, suite):
+        assert _numpy_and_package(loads_of(f"verify {suite} --count 50")) == {
+            "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
+
+    # neither the records nor these commands need dataclasses, exact fractions or csv
+    @pytest.mark.parametrize("args", ["energy step --law psi:3 --u u.json --deltas 0.5,0.25",
+                                      "verify telescope --count 5",
+                                      "verify rearrange --count 5",
+                                      "verify chain --count 5",
+                                      "minprob --law phi:3 --n 8..16 --dump-minimizer",
+                                      "minprob --law psi:2 --n 8 --starts 2"])
+    def test_start_up_loads_no_dataclasses_fractions_or_csv(self, loads_of, args):
+        assert not loads_of(args) & {"dataclasses", "fractions", "decimal", "csv"}
+
+    def test_csv_step_function_loads_csv(self, loads_of):
+        assert "csv" in loads_of("energy step --law psi:3 --u u.csv --deltas 0.5")
+
+    @pytest.mark.parametrize("args", ["law --spec psi:2", "bounds psi"])
+    def test_exact_scale_factors_load_fractions(self, loads_of, args):
+        assert "fractions" in loads_of(args)
+
+    def test_bounds_psi_loads_neither_energy_nor_stepfn(self, loads_of):
+        loaded = loads_of("bounds psi --m 1..3")
+        assert "bvgamma.bounds" in loaded
+        assert not loaded & {"bvgamma.energy", "bvgamma.stepfn"}
 
     def test_exports_are_their_defining_modules_objects(self):
         assert len(bvgamma.__all__) == len(set(bvgamma.__all__)) == 40
@@ -107,8 +220,29 @@ def test_cli_pins_openblas_to_one_thread_unless_set():
 _SWEEP = ("--starts", "16", "--seed", "0", "--dump-minimizer")
 
 
-def test_uncertified_sweep_still_polishes(runner, monkeypatch):
-    # psi:2 has no certified minimum, so every start is polished
+def test_cli_import_leaves_scipy_unloaded(loads_of):
+    # scipy is loaded by the commands that need it, not at start-up
+    assert "scipy" not in loads_of("import bvgamma.cli")
+
+
+def test_certified_sweeps_leave_scipy_unloaded(loads_of):
+    for law, n in (("phi:3", "9,12,15"), ("phi1", "8,12,16")):
+        assert "scipy" not in loads_of(" ".join(["--json", "minprob", "--law", law, "--n", n,
+                                                 *_SWEEP]))
+
+
+def test_verify_workload_leaves_scipy_unloaded(loads_of):
+    suites = [f"--json verify {suite} --count 20 --seed 3"
+              for suite in ("telescope", "rearrange", "chain", "domination")]
+    for args in (*suites, "--json law --spec psi:2", "--json law --spec phieps:0.01",
+                 "--json bounds psi --m 1..12", "--json bounds theta",
+                 "--json bounds zeta --f zeta.json", "--json bounds counterexample"):
+        assert "scipy" not in loads_of(args), args
+
+
+def test_uncertified_sweep_still_polishes(runner, monkeypatch, loads_of):
+    # psi:2 has no certified minimum, so every start is polished, and the
+    # polish loads no scipy
     rows, results = [], []
     polish, minimize = minprob._polish, minprob.minimize
     monkeypatch.setattr(minprob, "_polish", lambda pb, starts: rows.append(len(starts))
@@ -122,6 +256,9 @@ def test_uncertified_sweep_still_polishes(runner, monkeypatch):
     (res,) = results
     assert rows == [len(list(minprob._pattern_seeds(problem))) + 16]
     assert rows == [res.starts] == [len(res.traces)]
+    assert "scipy" not in loads_of(" ".join(["--json", "minprob", "--law", "psi:2", "--n", "8",
+                                             *_SWEEP]))
+    assert "scipy" not in loads_of("--json bounds factor --law psi:2")
 
 
 @pytest.mark.parametrize("args", [["minprob", "--law", "psi:2", "--n", "8,12"],
