@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import _Record
 from .laws import (
@@ -22,6 +22,9 @@ from .laws import (
     _mass_below,
     phi_eps,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BoundReport",
@@ -66,6 +69,7 @@ class BoundReport(_Record):
 @lru_cache(maxsize=None)
 def _harmonic_fraction(n: int) -> Fraction:
     # binary splitting: add unreduced (p, q) pairs level by level, reduce once
+    from fractions import Fraction
     terms = [(1, k) for k in range(1, n + 1)] or [(0, 1)]
     while len(terms) > 1:
         terms = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2)
@@ -191,6 +195,7 @@ def _least_domination_margin(m: int) -> tuple:
     only rises.  So the least margin is a right limit at an atom,
     theta(t_k) - mu_pkg((0, t_k]) / s, computed here in rationals.
     """
+    from fractions import Fraction
     s, mass, margins = 2 ** (m - 1), Fraction(0), []
     for k, w in single_package_law(m).threshold_measure()[0]:
         mass, t = mass + Fraction(w), Fraction(k) / (s - 1)
@@ -248,8 +253,7 @@ def zeta_bound(law: DyadicAffineLaw) -> BoundReport:
         for x, w in rule:
             t = left * (1.5 + 0.5 * x)
             parts.append(0.5 * left * w * _mass_below(measure, t) / (t * t))
-    tail = law.nodes[-1][1] / 2.0 ** zmax
-    n_quad = math.fsum(parts) + tail
+    n_quad = math.fsum(parts) + law.nodes[-1][1] / 2.0 ** zmax  # the constant tail
     if abs(n_series - n_quad) > 1e-12 * max(1.0, abs(n_quad)):
         raise AssertionError(
             f"scale-factor series {n_series} disagrees with quadrature {n_quad}")
@@ -268,11 +272,10 @@ def counterexample_table(eps: float = 0.01) -> dict:
     where the package law is 0 (its first atom is at 1, and law(t) = mu((0, t))).
     So it dominates exactly when its measure charges every (0, t), as a density from 0 does.
     """
-    n_psi2 = _harmonic_fraction(3)  # 11/6
-    c2 = 1 / n_psi2                 # 6/11
+    c2 = 1 / _harmonic_fraction(3)  # 6/11, the inverse of N(psi:2) = 11/6
     law_eps = phi_eps(eps)
     dominated = any(s0 == 0 and c > 0 for s0, _, c, _ in law_eps.threshold_measure()[1])
-    psi_k = float(Fraction(12, 11)) * math.log(2.0)
+    psi_k = float(2 * c2) * math.log(2.0)
     return {
         "eps": eps,
         "c2": float(c2),

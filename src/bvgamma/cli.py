@@ -48,7 +48,7 @@ def parse_law_spec(spec: str):
         if spec.startswith("zeta:@"):
             with open(spec[6:]) as fh:
                 doc = json.load(fh)
-            if doc.get("variant", "dyadic_affine") != "dyadic_affine":
+            if not isinstance(doc, dict) or doc.get("variant", "dyadic_affine") != "dyadic_affine":
                 raise ValueError("zeta spec must name a dyadic-affine law")
             return DyadicAffineLaw(tuple((z, float(v)) for z, v in doc["nodes"]))
         if spec.startswith("phieps:"):

@@ -232,6 +232,8 @@ class DyadicAffineLaw(InteractionLaw, _Frozen):
         zs = [z for z, _ in pairs]
         if len(set(zs)) != len(zs):
             raise ValueError("duplicate node indices")
+        if zs[0] < -500 or zs[-1] > 500:  # so that each 2^z and its square are normal floats
+            raise ValueError(f"node indices must lie in [-500, 500], got {zs[0]}..{zs[-1]}")
         vals = [v for _, v in pairs]
         if not _finite(vals):
             raise ValueError("node values must be finite")

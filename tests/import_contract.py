@@ -38,18 +38,19 @@ CONTRACT = {
     "": ["import bvgamma"],
     ".cli": ["import bvgamma.cli"],
     # every module of the package at once: numpy loads only inside the functions that
-    # evaluate arrays
-    ".bounds .cli .energy .laws .minprob .stepfn fractions decimal": [
+    # evaluate arrays, and fractions only inside those that compute in rationals
+    ".bounds .cli .energy .laws .minprob .stepfn": [
         "import importlib, pkgutil, bvgamma; [importlib.import_module('bvgamma.' + m.name)"
         " for m in pkgutil.iter_modules(bvgamma.__path__)]"],
     # a probe is the measure below t, and a law with a density has no exact scale factor
     ".laws": ["law --spec psi:2 --probe 0.5 --probe 2.5", "--json law --spec phieps:0.01"],
     ".laws fractions decimal": ["--json law --spec psi:2"],
-    # exact and closed-form reports; the zeta rule and the domination grid read the
-    # threshold measures in Python
+    # exact reports: harmonic numbers and the domination certificate in rationals
     ".bounds .laws fractions decimal": [
-        "--json bounds psi --m 1..12", "--json bounds theta", "--json bounds counterexample",
-        "--json bounds zeta --f zeta.json", "--json verify domination --count 200 --seed 1"],
+        "--json bounds psi --m 1..12", "--json bounds theta", "--json bounds counterexample"],
+    # the zeta rule and the domination grid read the threshold measures in floats
+    ".bounds .laws": ["--json bounds zeta --f zeta.json",
+                      "--json verify domination --count 200 --seed 1"],
     # the step-energy kernel, a delta range and the suites' draws run in Python
     ".energy .laws .stepfn": [
         "energy step --law psi:3 --u u.json",
@@ -65,13 +66,12 @@ CONTRACT = {
         "--json minprob --law phi1 --n 8,12,16 --starts 16 --seed 1 --dump-minimizer",
         "--json minprob --law phi:3 --n 9,12,15 --starts 16 --seed 1 --dump-minimizer",
         "minprob --law pca:[0,0,2.5] --n 7..20"],
-    ".bounds .laws .minprob fractions decimal": ["bounds factor --law phi:3"],
+    ".bounds .laws .minprob": ["bounds factor --law phi:3"],
     # a search polishes with numpy and draws its smooth starts from Python's random
     ".laws .minprob numpy": [
         "--json minprob --law psi:2 --n 8,12,16 --starts 16 --seed 1 --dump-minimizer",
         "minprob --law pca:[0,0,1,0.5,0.25] --n 12 --starts 2"],
-    ".bounds .laws .minprob numpy fractions decimal": [
-        "--json bounds factor --law psi:2 --seed 1"],
+    ".bounds .laws .minprob numpy": ["--json bounds factor --law psi:2 --seed 1"],
     # quadrature evaluates arrays; a step law also has an exact scale factor
     ".energy .laws numpy": [
         "--json energy pointwise --law theta --u bump --deltas 1e-1..1e-3 --tol 0.001",

@@ -159,13 +159,17 @@ class TestLazyLoading:
         assert _numpy_and_package(loads_of(f"verify {suite} --count 50")) == {
             "bvgamma.energy", "bvgamma.stepfn", "bvgamma.laws"}
 
-    # neither the records nor these commands need dataclasses, exact fractions or csv
+    # neither the records nor these commands need dataclasses, exact fractions or csv;
+    # the bounds module loads fractions only inside the routines that compute in rationals
     @pytest.mark.parametrize("args", ["energy step --law psi:3 --u u.json --deltas 0.5,0.25",
                                       "verify telescope --count 5",
                                       "verify rearrange --count 5",
                                       "verify chain --count 5",
+                                      "verify domination --count 50",
                                       "minprob --law phi:3 --n 8..16 --dump-minimizer",
-                                      "minprob --law psi:2 --n 8 --starts 2"])
+                                      "minprob --law psi:2 --n 8 --starts 2",
+                                      "bounds factor --law psi:2 --n-max 8 --starts 2",
+                                      "bounds zeta --f zeta.json"])
     def test_start_up_loads_no_dataclasses_fractions_or_csv(self, loads_of, args):
         assert not loads_of(args) & {"dataclasses", "fractions", "decimal", "csv"}
 
@@ -348,6 +352,17 @@ class TestLawSpec:
             nodes=((-2, 0.1), (0, 0.5), (2, 1.5)))
         path.write_text(json.dumps({"variant": "model", "k": 1}))
         result = runner.invoke(main, ["law", "--spec", f"zeta:@{path}"])
+        assert result.exit_code == 2
+        assert "zeta spec must name a dyadic-affine law" in result.output
+
+    @pytest.mark.parametrize("command", [["law", "--spec", "zeta:@{}"],
+                                         ["bounds", "zeta", "--f", "{}"]])
+    @pytest.mark.parametrize("doc", ["null", "[[0, 1.0]]", '"nodes"'])
+    def test_zeta_file_that_is_not_an_object_exits_2(self, runner, tmp_path, command, doc):
+        # such a file once ended in an AttributeError traceback
+        path = tmp_path / "zeta.json"
+        path.write_text(doc)
+        result = runner.invoke(main, [arg.format(path) for arg in command])
         assert result.exit_code == 2
         assert "zeta spec must name a dyadic-affine law" in result.output
 

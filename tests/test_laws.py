@@ -462,6 +462,17 @@ class TestStructure:
         assert law.nodes == ((-1, 0.5), (1, 1.0))
         assert all(type(z) is int for z, _ in law.nodes)
 
+    @pytest.mark.parametrize("nodes, span", [(((-501, 1.0),), "-501..-501"),
+                                             (((0, 0.5), (501, 1.0)), "0..501"),
+                                             (((-1100, 5e-324),), "-1100..-1100")])
+    def test_node_index_past_500_is_rejected(self, nodes, span):
+        # past about -537 a threshold 2^z squares to 0, and past 1023 it overflows
+        with pytest.raises(ValueError, match=f"^node indices must lie in \\[-500, 500\\], "
+                                             f"got {span}$"):
+            DyadicAffineLaw(nodes=nodes)
+        law = DyadicAffineLaw(nodes=((-500, 0.5), (500, 1.0)))
+        assert law.scale_factor() == pytest.approx(0.5 * 2.0 ** 500 * 2 * math.log(2), rel=1e-9)
+
     def test_deepest_package_law(self):
         law = PackagedDyadicLaw((1,) * 13)
         assert len(law.steps) == 2 ** 13 - 1

@@ -263,3 +263,27 @@ def test_random_step_function_levels_and_piece_counts(seed):
         assert 2 <= len(v.values) <= 10
         assert all(-3.0 <= x <= 3.0 for x in v.values)
         assert u.breakpoints[0] >= 0.0 and u.breakpoints[-1] <= 10.0
+
+
+class _ReplayRng:
+    """Stands in for ``random.Random``: replays fixed ``uniform`` draws and counts them;
+    ``randrange`` returns its least value."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.calls = iter(uniforms), 0
+
+    def uniform(self, a, b):
+        self.calls += 1
+        return next(self.uniforms)
+
+    def randrange(self, start, stop=None):
+        return 0 if stop is None else start
+
+
+def test_random_step_function_redraws_breakpoints_closer_than_1e_6():
+    # two pieces, so three breakpoints a draw: the first draw has two 1e-9 apart
+    rng = _ReplayRng([4.0, 1.0, 1.0 + 1e-9, 7.0, 1.0, 4.0])
+    u = random_step_function(rng, 2, levels=3)
+    assert rng.calls == 6  # two draws of three breakpoints; the levels come from randrange
+    assert u.breakpoints == (1.0, 4.0, 7.0)
+    assert all(y - x >= 1e-6 for x, y in zip(u.breakpoints, u.breakpoints[1:]))
